@@ -7,7 +7,9 @@ key-resolution function must fold it into the config) or it provably does
 not (then it belongs in :data:`repro.store.keys.KEY_EXCLUDED` with a stated
 reason).  A keyword in neither place is exactly the "added a kwarg, forgot
 the store key, served stale results" bug — this rule makes it fail lint at
-the signature, before any result is ever cached.
+the signature, before any result is ever cached.  Conversely, an exclusion
+entry that names no runner keyword (the leftover of a deleted knob) is
+flagged at its line in the exclusion list.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _resolver_vocabulary(fn: ast.FunctionDef) -> set[str]:
     return vocabulary
 
 
-def _load_key_excluded(module: ParsedModule) -> set[str] | None:
+def _load_key_excluded(module: ParsedModule) -> list[ast.Constant] | None:
     """String entries of the ``KEY_EXCLUDED`` constant (dict/set/sequence)."""
     _, constant_name = contracts.KEY_EXCLUDED_LOCATION
     for node in module.tree.body:
@@ -81,11 +83,11 @@ def _load_key_excluded(module: ParsedModule) -> set[str] | None:
             elements = value.elts
         else:
             return None
-        return {
-            element.value
+        return [
+            element
             for element in elements
             if isinstance(element, ast.Constant) and isinstance(element.value, str)
-        }
+        ]
     return None
 
 
@@ -98,7 +100,8 @@ class StoreKeyClassificationRule(Rule):
         "every keyword of run_memory_experiment / simulate_clique_coverage "
         "must appear in its key-resolution function "
         "(fig14._memory_point_config / coverage.resolve_coverage_config) or "
-        "in repro.store.keys.KEY_EXCLUDED"
+        "in repro.store.keys.KEY_EXCLUDED, and every KEY_EXCLUDED entry must "
+        "name a keyword of one of those runners"
     )
 
     def check_project(self, project: Project) -> list[Finding]:
@@ -108,7 +111,53 @@ class StoreKeyClassificationRule(Rule):
             if runner_module is None:
                 continue
             findings.extend(self._check_contract(project, runner_module, contract))
+        findings.extend(self._check_stale_exclusions(project))
         return findings
+
+    def _check_stale_exclusions(self, project: Project) -> list[Finding]:
+        """Flag ``KEY_EXCLUDED`` entries that name no runner keyword.
+
+        Runs when the exclusion list itself is linted; an entry left behind
+        by a deleted knob would otherwise vouch for nothing forever.
+        """
+        excluded_path, excluded_name = contracts.KEY_EXCLUDED_LOCATION
+        keys_module = project.linted(excluded_path)
+        if keys_module is None:
+            return []
+        entries = _load_key_excluded(keys_module)
+        if entries is None:
+            return []
+        keywords: set[str] = set()
+        for contract in contracts.KEY_CONTRACTS:
+            runner_module = project.load(contract.runner_path, anchor=keys_module)
+            runner = (
+                _module_function(runner_module.tree, contract.runner_name)
+                if runner_module is not None
+                else None
+            )
+            if runner is None:
+                # A missing runner is reported by its own contract check;
+                # without its signature no entry can be proven stale.
+                return []
+            keywords |= {param.arg for param in _named_params(runner)}
+        runners = " / ".join(
+            contract.runner_name for contract in contracts.KEY_CONTRACTS
+        )
+        return [
+            Finding(
+                path=keys_module.display,
+                line=entry.lineno,
+                col=entry.col_offset + 1,
+                rule=self.id,
+                message=(
+                    f"{excluded_name} entry {entry.value!r} names no keyword of "
+                    f"{runners} — a stale exclusion left by a removed knob; "
+                    f"delete it"
+                ),
+            )
+            for entry in entries
+            if entry.value not in keywords
+        ]
 
     def _check_contract(
         self,
@@ -161,8 +210,8 @@ class StoreKeyClassificationRule(Rule):
 
         excluded_path, excluded_name = contracts.KEY_EXCLUDED_LOCATION
         keys_module = project.load(excluded_path, anchor=runner_module)
-        excluded = _load_key_excluded(keys_module) if keys_module is not None else None
-        if excluded is None:
+        entries = _load_key_excluded(keys_module) if keys_module is not None else None
+        if entries is None:
             return [
                 _finding(
                     runner.lineno,
@@ -173,6 +222,7 @@ class StoreKeyClassificationRule(Rule):
                 )
             ]
 
+        excluded = {entry.value for entry in entries}
         findings = []
         resolvers = ", ".join(resolver_labels)
         for param in _named_params(runner):

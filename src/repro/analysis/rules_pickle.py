@@ -1,10 +1,11 @@
 """PKL001 — kernels handed to the sharded engine must be picklable.
 
-``run_sharded``/``run_sharded_adaptive`` ship their kernel to worker
-processes; lambdas, closures, and locally defined functions fail to pickle —
-but only at runtime, only with ``workers > 1``, which is exactly the
-configuration CI's ``workers=1`` fast paths never exercise.  This rule makes
-the mistake fail lint instead.
+A ``SweepPoint``'s kernel (and so the kernel of ``run_sharded`` /
+``run_sharded_adaptive``, which build one) is shipped to worker processes;
+lambdas, closures, and locally defined functions fail to pickle — but only
+at runtime, only with ``workers > 1``, which is exactly the configuration
+CI's ``workers=1`` fast paths never exercise.  This rule makes the mistake
+fail lint instead.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from repro.analysis import contracts
 from repro.analysis.core import ModuleContext, Rule
 
 
-def _kernel_argument(node: ast.Call) -> ast.AST | None:
-    """The kernel argument of a ``run_sharded*`` call, if identifiable."""
-    if node.args and not isinstance(node.args[0], ast.Starred):
-        return node.args[0]
+def _kernel_argument(node: ast.Call, position: int) -> ast.AST | None:
+    """The kernel argument of a sharded-kernel call, if identifiable."""
+    if len(node.args) > position and not any(
+        isinstance(arg, ast.Starred) for arg in node.args[: position + 1]
+    ):
+        return node.args[position]
     for keyword in node.keywords:
         if keyword.arg == "kernel":
             return keyword.value
@@ -31,9 +34,9 @@ class PicklableKernelRule(Rule):
     id = "PKL001"
     title = "picklable sharded kernels"
     contract = (
-        "kernels passed to run_sharded/run_sharded_adaptive cross process "
-        "boundaries: module-level functions or dataclass instances only — "
-        "no lambdas, no locally defined functions"
+        "kernels passed to SweepPoint/run_sharded/run_sharded_adaptive cross "
+        "process boundaries: module-level functions or dataclass instances "
+        "only — no lambdas, no locally defined functions"
     )
     node_types = (ast.Call, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -53,9 +56,10 @@ class PicklableKernelRule(Rule):
             name = func.id
         elif isinstance(func, ast.Attribute):
             name = func.attr
-        if name not in contracts.SHARDED_RUNNERS:
+        position = contracts.SHARDED_KERNEL_ARGS.get(name)
+        if position is None:
             return
-        kernel = _kernel_argument(node)
+        kernel = _kernel_argument(node, position)
         if kernel is not None:
             state["calls"].append(kernel)
 

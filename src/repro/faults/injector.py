@@ -72,8 +72,8 @@ class ShardFault:
     """One ``shard ...`` clause: fail a shard on a range of attempts.
 
     ``point_index`` is ``None`` for unqualified clauses (match the shard
-    index within every sweep point, as per-point executors always did) or the
-    zero-based scheduler point a ``point <p>`` qualifier pins the clause to.
+    index within every sweep point) or the zero-based scheduler point a
+    ``point <p>`` qualifier pins the clause to.
     """
 
     shard_index: int

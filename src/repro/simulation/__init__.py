@@ -29,8 +29,6 @@ from repro.simulation.shard import (
     AdaptiveShardRun,
     MemoryKernel,
     resolve_auto_chunk,
-    run_memory_experiment_adaptive,
-    run_memory_experiment_sharded,
     run_sharded,
     run_sharded_adaptive,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "MemoryKernel",
     "run_memory_experiment",
     "run_memory_experiment_batch",
-    "run_memory_experiment_sharded",
-    "run_memory_experiment_adaptive",
     "run_sharded",
     "run_sharded_adaptive",
     "AdaptiveShardRun",

@@ -45,16 +45,17 @@ def wilson_width(successes: int, trials: int, z: float = 1.96) -> float:
 class WilsonStoppingRule:
     """Adaptive trial-allocation rule: stop when the Wilson interval is tight.
 
-    The rule is consulted by :func:`repro.simulation.shard.run_sharded_adaptive`
-    after each wave of shards.  A run stops once the Wilson interval on the
+    The rule is consulted by :class:`repro.simulation.scheduler.SweepScheduler`
+    after each wave of an adaptive point's shards.  A run stops once the Wilson interval on the
     tracked proportion is no wider than ``target_width`` — but never before
     ``min_trials`` trials have been observed, and always by ``max_trials``
     (the budget cap), whether or not the target was reached.
 
-    ``next_wave`` doubles the consumed trial count each round (clamped to the
-    remaining budget), so the shard sequence a run consumes is a pure function
-    of the observed counts — which is what keeps adaptive runs deterministic
-    per seed, independent of the worker count.
+    ``next_wave`` first covers ``min_trials``, then doubles the consumed trial
+    count each round (clamped to the remaining budget), so the shard sequence
+    a run consumes is a pure function of the observed counts — which is what
+    keeps adaptive runs deterministic per seed, independent of the worker
+    count, and lets a resumed run continue exactly where it stopped.
     """
 
     target_width: float
@@ -87,6 +88,8 @@ class WilsonStoppingRule:
 
     def next_wave(self, trials_so_far: int) -> int:
         """Trials in the next shard wave (0 when the budget is exhausted)."""
+        if trials_so_far < self.min_trials:
+            return self.min_trials - trials_so_far
         return max(0, min(trials_so_far, self.max_trials - trials_so_far))
 
 

@@ -1,46 +1,56 @@
-"""Persistent-pool sweep scheduling: one executor, many points, shards interleaved.
+"""Sweep scheduling: the one dispatch path of every sharded run.
 
 A figure sweep (fig11/fig12/fig14/fig16) is dozens of independent Monte-Carlo
-points, and the per-point runners each spin up — and tear down — their own
-``ProcessPoolExecutor`` inside :class:`~repro.faults.ShardExecutor`.  That
-serialises the sweep twice over: a point's slow last shard (a d=11 blossom
-tail, say) leaves every other worker idle until the point finishes, and each
-adaptive Wilson wave queues its small trailing shard batch behind fresh
-pool-construction overhead.  :class:`SweepScheduler` owns **one** executor
+points.  :class:`SweepScheduler` owns **one** :class:`~repro.faults.ShardExecutor`
 (hence one pool) for the lifetime of a sweep and keeps it saturated with
 shard tasks from *all* pending points at once: fixed-budget points enqueue
 their whole shard plan up front, adaptive points enqueue wave-by-wave through
-a per-point Wilson driver — so a converging point's tail overlaps the next
-point's first wave.
+a per-point Wilson driver — so one point's slow tail (a d=11 blossom shard,
+say) overlaps the next point's first wave instead of idling the pool.  A
+single sharded run is the degenerate one-point sweep:
+:func:`~repro.simulation.shard.run_sharded`,
+:func:`~repro.simulation.shard.run_sharded_adaptive`, and the sharded
+engines of :func:`~repro.simulation.memory.run_memory_experiment` and
+:func:`~repro.simulation.coverage.simulate_clique_coverage` all run here.
 
-Determinism is untouched **by construction**.  Each shard remains a pure
-function of ``(point_seed, shard_index, chunk_trials)`` under the PR 2
-seeding contract; the scheduler merely changes *when* shards execute, never
-which shards exist or which streams they draw.  Every point's partials are
-merged in shard-index order (waves in index order, shards within a wave by
-offset), the adaptive wave schedule stays the same pure function of that
-point's consumed-trial count, and checkpoints are saved through the same
-:func:`~repro.simulation.shard._checkpoint_state` layout — so a scheduled
-sweep is byte-identical to the sequential per-point sweep at any worker
-count, stores, checkpoints, and all.
+Determinism holds **by construction**.  Each shard is a pure function of
+``(point_seed, shard_index, chunk_trials)`` under the seeding contract of
+:mod:`repro.simulation.shard`; the scheduler only decides *when* shards
+execute, never which shards exist or which streams they draw.  Every point's
+partials are merged in shard-index order (waves in index order, shards
+within a wave by offset), and the adaptive wave schedule
+(:meth:`~repro.simulation.monte_carlo.WilsonStoppingRule.next_wave`) is a
+pure function of that point's consumed-trial count — so results, stores, and
+checkpoints are byte-identical at any worker count.
 
-Fault tolerance rides the existing ladder unchanged: retries, timeouts, pool
-respawns, and degradation are per-shard concerns of the shared
-:class:`~repro.faults.ShardExecutor` (with the one semantic shift that
-respawn/degrade budgets now span the sweep rather than a single point, since
-there is a single pool).  Tasks are dispatched tagged ``(point_index,
-shard_index)``, so chaos plans can pin a fault to one point of a scheduled
-sweep via the ``point <p>`` qualifier (see :mod:`repro.faults.injector`) and
-skipped-shard provenance stays attributable per point.  Each point is
-finalised — and persisted, via its ``on_complete`` hook — the moment its
-last shard lands, preserving kill-mid-sweep resume: points completed before
-a crash are already durable in the :class:`~repro.store.ResultStore`.
+Fault tolerance rides the :class:`~repro.faults.ShardExecutor` ladder:
+retries, timeouts, pool respawns, and degradation are per-shard concerns,
+and the respawn/degrade budgets span the sweep (there is a single pool).
+Tasks are dispatched tagged ``(point_index, shard_index)``, so chaos plans
+can pin a fault to one point via the ``point <p>`` qualifier (see
+:mod:`repro.faults.injector`) and skipped-shard provenance stays
+attributable per point.  Each point is finalised — and persisted, via its
+``on_complete`` hook — the moment its last shard lands, preserving
+kill-mid-sweep resume: points completed before a crash are already durable
+in the :class:`~repro.store.ResultStore`.
+
+Adaptive checkpoints
+--------------------
+A point with a ``checkpoint`` slot (any object with ``load()``/``save()``/
+``clear()``, e.g. :class:`repro.store.AdaptiveCheckpoint`) saves its merged
+counts plus the shard cursor after every wave, in the layout built by
+:func:`_checkpoint_state`.  A killed run resumes from the last completed
+wave and finishes with *exactly* the counts the uninterrupted run would have
+produced.  A checkpoint whose ``(seed, chunk_trials)`` does not match the
+current point is ignored: its shard streams would not line up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError, FaultToleranceError
 from repro.faults import (
@@ -50,36 +60,77 @@ from repro.faults import (
     FaultReport,
     ShardExecutor,
 )
+from repro.noise.rng import resolve_entropy
 from repro.simulation.monte_carlo import WilsonStoppingRule, wilson_interval
 from repro.simulation.shard import (
     DEFAULT_SHARD_TRIALS,
     MemoryKernel,
-    _checkpoint_state,
-    _load_checkpoint_state,
-    _memory_successes,
-    _resolve_fault_args,
-    _resolve_rounds,
-    _resolve_seed,
-    _resolve_workers,
     merge_counts,
     merge_memory_counts,
     plan_shards,
+    resolve_workers,
 )
 from repro.types import StabilizerType
 
-#: The two dispatch modes experiment runners accept: ``"sweep"`` feeds every
-#: point's shards through one persistent pool, ``"point"`` is the legacy
-#: one-pool-per-point path.  Results are byte-identical either way.
-SCHEDULE_MODES = ("sweep", "point")
+#: Format tag of the adaptive checkpoint state; bump on layout changes so a
+#: stale file from an older build is ignored rather than misread.
+#: v2: memory-kernel partials grew per-tier cascade counts (nested tuples).
+CHECKPOINT_STATE_VERSION = 2
 
 
-def validate_schedule(schedule: str) -> str:
-    """Reject anything but the two documented dispatch modes."""
-    if schedule not in SCHEDULE_MODES:
+def _deep_tuple(value: Any) -> Any:
+    """Recursively turn JSON lists back into the tuples the kernels emit."""
+    if isinstance(value, list):
+        return tuple(_deep_tuple(item) for item in value)
+    return value
+
+
+def _checkpoint_state(
+    seed: int, chunk_trials: int, trials_done: int, next_index: int, merged: Any
+) -> dict:
+    """The adaptive checkpoint payload saved after every wave."""
+    return {
+        "version": CHECKPOINT_STATE_VERSION,
+        "seed": seed,
+        "chunk_trials": chunk_trials,
+        "trials_done": trials_done,
+        "next_index": next_index,
+        "merged": list(merged) if isinstance(merged, tuple) else merged,
+    }
+
+
+def _load_checkpoint_state(
+    checkpoint: Any, seed: int, chunk_trials: int
+) -> tuple[Any, int, int] | None:
+    """Validate a saved adaptive state against this run's stream parameters."""
+    state = checkpoint.load()
+    if not isinstance(state, dict):
+        return None
+    if (
+        state.get("version") != CHECKPOINT_STATE_VERSION
+        or state.get("seed") != seed
+        or state.get("chunk_trials") != chunk_trials
+    ):
+        return None
+    merged = state.get("merged")
+    trials_done = state.get("trials_done")
+    next_index = state.get("next_index")
+    if not isinstance(trials_done, int) or not isinstance(next_index, int):
+        return None
+    if merged is None or trials_done <= 0 or next_index <= 0:
+        return None
+    # Merged partials are (possibly nested) tuples in-memory; JSON stored
+    # them as lists.
+    return _deep_tuple(merged), trials_done, next_index
+
+
+def _resolve_seed(seed: int | None) -> int:
+    if isinstance(seed, np.random.Generator):
         raise ConfigurationError(
-            f"schedule must be one of {SCHEDULE_MODES}, got {schedule!r}"
+            "sharded runs need an integer seed (or None), not a Generator: "
+            "generator state cannot be split deterministically across shards"
         )
-    return schedule
+    return resolve_entropy(seed)
 
 
 @dataclass
@@ -153,9 +204,11 @@ class SweepScheduler:
     """Run many sweep points on one persistent :class:`ShardExecutor` pool.
 
     ``workers`` / ``faults`` / ``fault_report`` / ``fault_injector`` carry
-    the same semantics as :func:`repro.simulation.shard.run_sharded`, except
-    that the policy's pool-respawn and degradation budgets span the whole
-    sweep (one pool) instead of resetting per point.
+    the semantics documented on :func:`repro.simulation.shard.run_sharded`;
+    the policy's pool-respawn and degradation budgets span the whole sweep
+    (one pool).  When no point is adaptive the whole task list is known up
+    front, and the pool is capped at that many workers — a one-shard run
+    builds no pool at all.
     """
 
     workers: int | None = None
@@ -181,8 +234,9 @@ class SweepScheduler:
                 raise ConfigurationError(
                     f"adaptive sweep point {point.point_id!r} needs successes_of"
                 )
-        workers = _resolve_workers(self.workers)
-        policy, report = _resolve_fault_args(self.faults, self.fault_report)
+        workers = resolve_workers(self.workers)
+        policy = self.faults if self.faults is not None else FaultPolicy()
+        report = self.fault_report if self.fault_report is not None else FaultReport()
         drivers = [_PointDriver(index, point) for index, point in enumerate(points)]
         task_meta: list[tuple[_PointDriver, int]] = []  # task index -> (driver, offset)
 
@@ -240,12 +294,7 @@ class SweepScheduler:
             ):
                 complete(driver)
                 return []
-            # Same schedule as run_sharded_adaptive, fresh or resumed: cover
-            # min_trials first, then double the consumed total, clamped.
-            if driver.trials_done < stop.min_trials:
-                wave = stop.min_trials - driver.trials_done
-            else:
-                wave = stop.next_wave(driver.trials_done)
+            wave = stop.next_wave(driver.trials_done)
             if wave <= 0:
                 complete(driver)
                 return []
@@ -255,9 +304,9 @@ class SweepScheduler:
             point = driver.point
             sizes, outcomes = driver.wave_sizes, driver.wave_outcomes
             done_trials = 0
-            # Merge strictly by shard offset: identical associativity order
-            # to the sequential per-point path, hence byte-identical results
-            # even for non-commutative merges.
+            # Merge strictly by shard offset: the associativity order is
+            # fixed by the shard plan, never by completion order, so results
+            # are byte-identical at any worker count.
             for size, outcome in zip(sizes, outcomes):
                 if outcome is SKIPPED:
                     driver.skipped_shards += 1
@@ -325,6 +374,9 @@ class SweepScheduler:
             # completes here without contributing a single shard.
             initial.extend(open_point(driver))
         if initial:
+            if all(point.stop is None for point in points):
+                # The whole task list is known: never fork idle workers.
+                workers = min(workers, len(initial))
             with ShardExecutor(
                 workers=workers,
                 policy=policy,
@@ -343,6 +395,11 @@ class SweepScheduler:
 # ----------------------------------------------------------------------
 # Point adapters for the two experiment families
 # ----------------------------------------------------------------------
+def _memory_failures(counts: tuple) -> int:
+    """Tracked proportion for adaptive memory points: the logical failures."""
+    return counts[0]
+
+
 def memory_point(
     point_id: str,
     code: Any,
@@ -360,11 +417,17 @@ def memory_point(
     decoder_name: str | None = None,
     on_complete: Callable[[Any], None] | None = None,
 ) -> SweepPoint:
-    """A memory-experiment :class:`SweepPoint` finalising to the same
-    :class:`~repro.simulation.memory.MemoryExperimentResult` the per-point
-    runners (:func:`~repro.simulation.shard.run_memory_experiment_sharded` /
-    ``_adaptive``) produce — field for field."""
-    rounds = _resolve_rounds(code, rounds)
+    """A memory-experiment :class:`SweepPoint` finalising to a
+    :class:`~repro.simulation.memory.MemoryExperimentResult` — the sharded
+    engine of :func:`~repro.simulation.memory.run_memory_experiment`.
+
+    ``rounds`` defaults to the code distance.  Execution provenance
+    (``engine_degraded``, ``skipped_shards`` / ``skipped_trials``, with
+    ``trials`` reduced accordingly) lands on the result.
+    """
+    rounds = code.distance if rounds is None else rounds
+    if rounds <= 0:
+        raise ConfigurationError(f"rounds must be positive, got {rounds}")
     kernel = MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed)
 
     def finalize(outcome: PointOutcome):
@@ -404,7 +467,7 @@ def memory_point(
         chunk_trials=chunk_trials,
         merge=merge_memory_counts,
         stop=stop,
-        successes_of=_memory_successes if stop is not None else None,
+        successes_of=_memory_failures if stop is not None else None,
         checkpoint=checkpoint,
         finalize=finalize,
         on_complete=on_complete,
@@ -466,11 +529,10 @@ def coverage_point(
 
 
 __all__ = [
-    "SCHEDULE_MODES",
+    "CHECKPOINT_STATE_VERSION",
     "PointOutcome",
     "SweepPoint",
     "SweepScheduler",
     "coverage_point",
     "memory_point",
-    "validate_schedule",
 ]

@@ -3,10 +3,13 @@
 Once a vectorised kernel (the batch memory engine of
 :mod:`repro.simulation.batch`, the coverage counter of
 :mod:`repro.simulation.coverage`, ...) saturates a core, the remaining orders
-of magnitude come from parallel scaling.  This module splits a trial budget
-into fixed-size shards, runs each shard's kernel call in a
-``ProcessPoolExecutor`` worker, and merges the per-shard partial results with
-an associative ``merge``.
+of magnitude come from parallel scaling.  This module owns the shard plan: it
+splits a trial budget into fixed-size shards (:func:`plan_shards`), sizes
+them (:func:`resolve_auto_chunk`), and defines the memory-experiment kernel
+and the associative merges that combine per-shard partial results.
+Dispatch itself has one home, :class:`repro.simulation.scheduler.SweepScheduler`:
+:func:`run_sharded` and :func:`run_sharded_adaptive` are one-point scheduler
+runs.
 
 A *kernel* is any picklable callable ``(n_trials, rng) -> partial_result``
 (configuration — code, noise model, decoder choice — is carried on the kernel
@@ -40,10 +43,10 @@ on the run's :class:`~repro.faults.FaultReport` — never silently.
 
 Fault tolerance
 ---------------
-Dispatch goes through :class:`repro.faults.ShardExecutor`: because each
-shard's partial result is a pure function of ``(seed, shard_index)``, a
-failed, timed-out, or killed shard is simply re-dispatched and the retried
-attempt is **bit-identical** to the one that died.  ``faults=`` takes a
+The scheduler dispatches through :class:`repro.faults.ShardExecutor`:
+because each shard's partial result is a pure function of ``(seed,
+shard_index)``, a failed, timed-out, or killed shard is simply re-dispatched
+and the retried attempt is **bit-identical** to the one that died.  ``faults=`` takes a
 :class:`~repro.faults.FaultPolicy` (default: up to 2 retries per shard,
 deterministic jittered backoff, no timeout); ``fault_report=`` exposes what
 recovery actually happened; ``fault_injector=`` (or the ambient
@@ -56,19 +59,13 @@ Adaptive allocation
 -------------------
 :func:`run_sharded_adaptive` spawns shard *waves* by index until a
 :class:`~repro.simulation.monte_carlo.WilsonStoppingRule` reports the tracked
-proportion's confidence interval tight enough.  The wave schedule (cover
+proportion's confidence interval tight enough.  The wave schedule
+(:meth:`~repro.simulation.monte_carlo.WilsonStoppingRule.next_wave`: cover
 ``min_trials``, then double the consumed trials each round, clamped to
 ``max_trials``) is a pure function of the observed counts, so adaptive runs
-inherit the same worker-independent determinism.
-
-Checkpointing: pass ``checkpoint=`` (any object with ``load()``/``save()``/
-``clear()``, e.g. :class:`repro.store.AdaptiveCheckpoint`) and the merged
-counts plus the shard cursor are saved after every wave.  A killed run
-resumes from the last completed wave with its observed counts intact, and —
-because the wave schedule is a pure function of the consumed trial count —
-the resumed run finishes with *exactly* the counts the uninterrupted run
-would have produced.  A checkpoint whose ``(seed, chunk_trials)`` does not
-match the current run is ignored: its shard streams would not line up.
+inherit the same worker-independent determinism.  ``checkpoint=`` saves the
+merged counts and shard cursor after every wave, so a killed run resumes
+mid-point with identical final counts (see :mod:`repro.simulation.scheduler`).
 """
 
 from __future__ import annotations
@@ -81,17 +78,10 @@ import numpy as np
 
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
-from repro.exceptions import ConfigurationError, FaultToleranceError
-from repro.faults import (
-    SKIPPED,
-    FaultInjector,
-    FaultPolicy,
-    FaultReport,
-    ShardExecutor,
-)
+from repro.exceptions import ConfigurationError
+from repro.faults import FaultInjector, FaultPolicy, FaultReport
 from repro.noise.models import NoiseModel
-from repro.noise.rng import resolve_entropy
-from repro.simulation.monte_carlo import WilsonStoppingRule, wilson_interval
+from repro.simulation.monte_carlo import WilsonStoppingRule
 from repro.types import StabilizerType
 
 #: Trials per shard.  Small enough that a paper-scale budget yields plenty of
@@ -156,7 +146,7 @@ def resolve_auto_chunk(
     """
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
     cap = default
     if distance is not None and distance > 0:
         cap = max(floor, min(default, (4 * default) // distance))
@@ -165,47 +155,13 @@ def resolve_auto_chunk(
     return max(1, min(cap, target))
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if isinstance(seed, np.random.Generator):
-        raise ConfigurationError(
-            "sharded runs need an integer seed (or None), not a Generator: "
-            "generator state cannot be split deterministically across shards"
-        )
-    return resolve_entropy(seed)
-
-
-def _resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None) -> int:
+    """The worker count a sharded run uses: ``None`` means every CPU."""
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 0:
         raise ConfigurationError(f"workers must be positive, got {workers}")
     return workers
-
-
-def _resolve_fault_args(
-    faults: FaultPolicy | None, fault_report: FaultReport | None
-) -> tuple[FaultPolicy, FaultReport]:
-    policy = faults if faults is not None else FaultPolicy()
-    report = fault_report if fault_report is not None else FaultReport()
-    return policy, report
-
-
-def _merge_outcomes(
-    outcomes: list, merge: Callable[[Any, Any], Any]
-) -> tuple[Any, int]:
-    """Merge executor outcomes, excluding skipped shards.
-
-    Returns ``(merged, completed_count)``; ``merged`` is ``None`` when every
-    shard was skipped.
-    """
-    merged: Any = None
-    completed = 0
-    for outcome in outcomes:
-        if outcome is SKIPPED:
-            continue
-        merged = outcome if merged is None else merge(merged, outcome)
-        completed += 1
-    return merged, completed
 
 
 def run_sharded(
@@ -220,6 +176,9 @@ def run_sharded(
     fault_injector: FaultInjector | None = None,
 ) -> Any:
     """Run ``kernel`` over a deterministic shard plan and merge the partials.
+
+    A one-point :class:`~repro.simulation.scheduler.SweepScheduler` run: the
+    pool is capped at the shard count, so a single-shard run builds none.
 
     Args:
         kernel: picklable ``(n_trials, rng) -> partial_result`` callable
@@ -243,8 +202,9 @@ def run_sharded(
             to twice with deterministic backoff).  Recovery never changes the
             merged result — retried shards replay their streams bit-identically
             — so the policy is execution provenance, not part of the result's
-            identity.  ``FaultPolicy(max_retries=0)`` restores fail-fast
-            dispatch.
+            identity.  ``FaultPolicy(max_retries=0)`` fails fast: the first
+            kernel error raises :class:`~repro.exceptions.ShardRetriesExhaustedError`
+            chained from it.
         fault_report: optional :class:`~repro.faults.FaultReport` to
             accumulate recovery counters (retries, timeouts, pool respawns,
             degradations, skipped shards) into.
@@ -258,28 +218,19 @@ def run_sharded(
         FaultToleranceError: ``on_exhausted="skip"`` dropped *every* shard,
             leaving nothing to merge.
     """
-    seed = _resolve_seed(seed)
-    workers = _resolve_workers(workers)
-    shards = plan_shards(trials, chunk_trials)
-    tasks = [
-        (kernel, shard_trials, seed, index)
-        for index, shard_trials in enumerate(shards)
-    ]
-    policy, report = _resolve_fault_args(faults, fault_report)
-    with ShardExecutor(
-        workers=min(workers, len(shards)),
-        policy=policy,
-        injector=fault_injector,
-        report=report,
-    ) as executor:
-        outcomes = executor.run(tasks)
-    merged, _ = _merge_outcomes(outcomes, merge)
-    if merged is None:
-        raise FaultToleranceError(
-            f"all {len(shards)} shard(s) were skipped after exhausting their "
-            "retry budgets; nothing to merge"
-        )
-    return merged
+    # Imported lazily: the scheduler builds on this module's shard plan.
+    from repro.simulation.scheduler import SweepPoint, SweepScheduler
+
+    point = SweepPoint(
+        "run", kernel, trials, seed=seed, chunk_trials=chunk_trials, merge=merge
+    )
+    scheduler = SweepScheduler(
+        workers=workers,
+        faults=faults,
+        fault_report=fault_report,
+        fault_injector=fault_injector,
+    )
+    return scheduler.run([point])["run"].value
 
 
 @dataclass(frozen=True)
@@ -309,63 +260,6 @@ class AdaptiveShardRun:
         return self.successes / self.trials if self.trials else 0.0
 
 
-#: Format tag of the adaptive checkpoint state; bump on layout changes so a
-#: stale file from an older build is ignored rather than misread.
-#: v2: memory-kernel partials grew per-tier cascade counts (nested tuples).
-CHECKPOINT_STATE_VERSION = 2
-
-
-def _deep_tuple(value: Any) -> Any:
-    """Recursively turn JSON lists back into the tuples the kernels emit."""
-    if isinstance(value, list):
-        return tuple(_deep_tuple(item) for item in value)
-    return value
-
-
-def _checkpoint_state(
-    seed: int, chunk_trials: int, trials_done: int, next_index: int, merged: Any
-) -> dict:
-    """The adaptive checkpoint payload — one layout for every writer.
-
-    Both :func:`run_sharded_adaptive` and the sweep scheduler save through
-    this builder, so a point's checkpoint file is byte-identical whichever
-    engine wrote it and either can resume the other's.
-    """
-    return {
-        "version": CHECKPOINT_STATE_VERSION,
-        "seed": seed,
-        "chunk_trials": chunk_trials,
-        "trials_done": trials_done,
-        "next_index": next_index,
-        "merged": list(merged) if isinstance(merged, tuple) else merged,
-    }
-
-
-def _load_checkpoint_state(
-    checkpoint: Any, seed: int, chunk_trials: int
-) -> tuple[Any, int, int] | None:
-    """Validate a saved adaptive state against this run's stream parameters."""
-    state = checkpoint.load()
-    if not isinstance(state, dict):
-        return None
-    if (
-        state.get("version") != CHECKPOINT_STATE_VERSION
-        or state.get("seed") != seed
-        or state.get("chunk_trials") != chunk_trials
-    ):
-        return None
-    merged = state.get("merged")
-    trials_done = state.get("trials_done")
-    next_index = state.get("next_index")
-    if not isinstance(trials_done, int) or not isinstance(next_index, int):
-        return None
-    if merged is None or trials_done <= 0 or next_index <= 0:
-        return None
-    # Merged partials are (possibly nested) tuples in-memory; JSON stored
-    # them as lists.
-    return _deep_tuple(merged), trials_done, next_index
-
-
 def run_sharded_adaptive(
     kernel: ShardKernel,
     stop: WilsonStoppingRule,
@@ -381,9 +275,10 @@ def run_sharded_adaptive(
 ) -> AdaptiveShardRun:
     """Spawn shard waves by index until ``stop`` is satisfied.
 
-    The first wave covers ``stop.min_trials`` trials; each later wave doubles
-    the consumed trial count (``stop.next_wave``), clamped to
-    ``stop.max_trials``.  Shards are consumed strictly by index under the
+    A one-point adaptive :class:`~repro.simulation.scheduler.SweepScheduler`
+    run.  Waves follow :meth:`WilsonStoppingRule.next_wave` (cover
+    ``stop.min_trials``, then double the consumed trial count, clamped to
+    ``stop.max_trials``).  Shards are consumed strictly by index under the
     module's seeding contract and the wave schedule is a pure function of the
     observed counts, so the run is deterministic for a fixed
     ``(seed, chunk_trials)`` independent of ``workers`` and across reruns.
@@ -400,7 +295,7 @@ def run_sharded_adaptive(
             function of those counts, finishes bit-identical to an
             uninterrupted run.  The final state is deliberately *not*
             cleared here: the owner clears it once the returned result is
-            durably persisted (``SweepCache.point`` does), otherwise a kill
+            durably persisted (``SweepCache.finish`` does), otherwise a kill
             between completion and persistence would discard the whole run.
             Until then the leftover state is harmless — a re-run loads it,
             finds the stopping rule already satisfied, and returns the same
@@ -422,64 +317,32 @@ def run_sharded_adaptive(
         An :class:`AdaptiveShardRun` with the merged value, the trials
         actually consumed, and the final Wilson interval.
     """
-    seed = _resolve_seed(seed)
-    workers = _resolve_workers(workers)
-    merged: Any = None
-    trials_done = 0
-    next_index = 0
-    if checkpoint is not None:
-        resumed = _load_checkpoint_state(checkpoint, seed, chunk_trials)
-        if resumed is not None:
-            merged, trials_done, next_index = resumed
-    policy, report = _resolve_fault_args(faults, fault_report)
-    with ShardExecutor(
-        workers=workers, policy=policy, injector=fault_injector, report=report
-    ) as executor:
-        while merged is None or not stop.satisfied(successes_of(merged), trials_done):
-            # Same schedule whether fresh or resumed: cover min_trials first,
-            # then double the consumed total, clamped to the budget cap.
-            if trials_done < stop.min_trials:
-                wave = stop.min_trials - trials_done
-            else:
-                wave = stop.next_wave(trials_done)
-            if wave <= 0:
-                break
-            sizes = plan_shards(wave, chunk_trials)
-            tasks = [
-                (kernel, shard_trials, seed, next_index + offset)
-                for offset, shard_trials in enumerate(sizes)
-            ]
-            outcomes = executor.run(tasks)
-            next_index += len(sizes)
-            wave_done = sum(
-                size
-                for size, outcome in zip(sizes, outcomes)
-                if outcome is not SKIPPED
-            )
-            if wave_done == 0:
-                # Every shard of the wave was dropped: the consumed-trial
-                # cursor cannot advance and the wave schedule would spin.
-                raise FaultToleranceError(
-                    f"all {len(sizes)} shard(s) of an adaptive wave were "
-                    "skipped after exhausting their retry budgets; the run "
-                    "cannot make progress"
-                )
-            trials_done += wave_done
-            for outcome in outcomes:
-                if outcome is SKIPPED:
-                    continue
-                merged = outcome if merged is None else merge(merged, outcome)
-            if checkpoint is not None:
-                checkpoint.save(
-                    _checkpoint_state(seed, chunk_trials, trials_done, next_index, merged)
-                )
-    successes = successes_of(merged)
+    from repro.simulation.scheduler import SweepPoint, SweepScheduler
+
+    point = SweepPoint(
+        "run",
+        kernel,
+        stop.max_trials,
+        seed=seed,
+        chunk_trials=chunk_trials,
+        merge=merge,
+        stop=stop,
+        successes_of=successes_of,
+        checkpoint=checkpoint,
+    )
+    scheduler = SweepScheduler(
+        workers=workers,
+        faults=faults,
+        fault_report=fault_report,
+        fault_injector=fault_injector,
+    )
+    outcome = scheduler.run([point])["run"]
     return AdaptiveShardRun(
-        value=merged,
-        trials=trials_done,
-        successes=successes,
-        interval=wilson_interval(successes, trials_done, stop.z),
-        shards=next_index,
+        value=outcome.value,
+        trials=outcome.trials,
+        successes=outcome.successes,
+        interval=outcome.interval,
+        shards=outcome.shards,
     )
 
 
@@ -497,10 +360,9 @@ class MemoryKernel:
 
     ``packed`` selects the batch engine's uint64 bitplane hot path inside
     each worker (default on).  Packed and unpacked shards are bit-identical
-    under the PR 2 seeding contract — each shard replays the same
+    under the seeding contract — each shard replays the same
     ``shard_rng(seed, index)`` stream either way — so the flag changes
-    neither the partial tuples nor the checkpoint layout
-    (:data:`CHECKPOINT_STATE_VERSION` is unaffected).
+    neither the partial tuples nor the adaptive checkpoint layout.
     """
 
     code: RotatedSurfaceCode
@@ -552,158 +414,8 @@ def merge_memory_counts(
     )
 
 
-def _memory_successes(counts: tuple[int, int, int, str]) -> int:
-    """Tracked proportion for adaptive memory runs: the logical-failure count."""
-    return counts[0]
-
-
-def _resolve_rounds(code: RotatedSurfaceCode, rounds: int | None) -> int:
-    if rounds is None:
-        rounds = code.distance
-    if rounds <= 0:
-        raise ConfigurationError(f"rounds must be positive, got {rounds}")
-    return rounds
-
-
-def run_memory_experiment_sharded(
-    code: RotatedSurfaceCode,
-    noise: NoiseModel,
-    decoder_factory: Callable[[RotatedSurfaceCode, StabilizerType], Decoder],
-    trials: int,
-    rounds: int | None = None,
-    stype: StabilizerType = StabilizerType.X,
-    rng: int | None = None,
-    decoder_name: str | None = None,
-    chunk_trials: int = DEFAULT_SHARD_TRIALS,
-    workers: int | None = None,
-    faults: FaultPolicy | None = None,
-    fault_report: FaultReport | None = None,
-    fault_injector: FaultInjector | None = None,
-    packed: bool = True,
-):
-    """Sharded counterpart of :func:`repro.simulation.memory.run_memory_experiment`.
-
-    Args:
-        rng: integer seed (or ``None`` for fresh entropy, drawn once and
-            shared by all shards).  A ready-made generator is *not* accepted.
-        chunk_trials: trials per shard; with the seed it fully determines the
-            result (see the module docstring).
-        workers: process count; defaults to ``os.cpu_count()``.  ``1`` runs
-            the shards sequentially in-process.  The value never affects the
-            merged counts, only wall-clock time.
-        faults / fault_report / fault_injector: see :func:`run_sharded`.
-            Recovery provenance lands on the returned result:
-            ``engine_degraded`` when the pool could not be constructed, and
-            ``skipped_shards`` / ``skipped_trials`` (with ``trials`` reduced
-            accordingly) when ``on_exhausted="skip"`` dropped shards.
-        packed: run each shard's batch kernel on the uint64 bitplane hot
-            path (default).  Bit-identical to ``packed=False`` per shard, so
-            the knob never changes the merged counts.
-    """
-    # Imported lazily: memory.py re-exports this engine behind its
-    # ``engine="sharded"`` switch, so a module-level import would be circular.
-    from repro.simulation.memory import MemoryExperimentResult
-
-    rounds = _resolve_rounds(code, rounds)
-    policy, report = _resolve_fault_args(faults, fault_report)
-    failures, onchip_rounds, total_rounds, kernel_name, tier_names, tier_trials, tier_rounds = run_sharded(
-        MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed),
-        trials=trials,
-        seed=rng,
-        chunk_trials=chunk_trials,
-        workers=workers,
-        merge=merge_memory_counts,
-        faults=policy,
-        fault_report=report,
-        fault_injector=fault_injector,
-    )
-    return MemoryExperimentResult(
-        physical_error_rate=noise.data_error_rate,
-        code_distance=code.distance,
-        rounds=rounds,
-        trials=trials - report.skipped_trials,
-        logical_failures=failures,
-        decoder_name=decoder_name or kernel_name,
-        onchip_rounds=onchip_rounds,
-        total_rounds=total_rounds,
-        tier_names=tier_names,
-        tier_trials=tier_trials,
-        tier_rounds=tier_rounds,
-        engine_degraded=report.engine_degraded,
-        skipped_shards=len(report.skipped_shards),
-        skipped_trials=report.skipped_trials,
-    )
-
-
-def run_memory_experiment_adaptive(
-    code: RotatedSurfaceCode,
-    noise: NoiseModel,
-    decoder_factory: Callable[[RotatedSurfaceCode, StabilizerType], Decoder],
-    stop: WilsonStoppingRule,
-    rounds: int | None = None,
-    stype: StabilizerType = StabilizerType.X,
-    rng: int | None = None,
-    decoder_name: str | None = None,
-    chunk_trials: int = DEFAULT_SHARD_TRIALS,
-    workers: int | None = None,
-    checkpoint: Any | None = None,
-    faults: FaultPolicy | None = None,
-    fault_report: FaultReport | None = None,
-    fault_injector: FaultInjector | None = None,
-    packed: bool = True,
-):
-    """Adaptive memory experiment: shards until the failure-rate CI converges.
-
-    The tracked proportion is the logical-failure rate; ``stop`` bounds the
-    budget (``stop.max_trials``) and the returned result's ``trials`` field
-    records what was actually consumed.  ``checkpoint`` enables per-wave
-    mid-point resume (see :func:`run_sharded_adaptive`); ``faults`` /
-    ``fault_report`` / ``fault_injector`` configure per-shard fault
-    tolerance (see :func:`run_sharded`), with recovery provenance attached
-    to the returned result as in :func:`run_memory_experiment_sharded`.
-    ``packed`` selects each shard's bitplane hot path (default on) and never
-    changes counts, waves, or checkpoints — packed and unpacked shards are
-    bit-identical, so a checkpoint written by either resumes under the other.
-    """
-    from repro.simulation.memory import MemoryExperimentResult
-
-    rounds = _resolve_rounds(code, rounds)
-    policy, report = _resolve_fault_args(faults, fault_report)
-    run = run_sharded_adaptive(
-        MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed),
-        stop=stop,
-        successes_of=_memory_successes,
-        seed=rng,
-        chunk_trials=chunk_trials,
-        workers=workers,
-        merge=merge_memory_counts,
-        checkpoint=checkpoint,
-        faults=policy,
-        fault_report=report,
-        fault_injector=fault_injector,
-    )
-    failures, onchip_rounds, total_rounds, kernel_name, tier_names, tier_trials, tier_rounds = run.value
-    return MemoryExperimentResult(
-        physical_error_rate=noise.data_error_rate,
-        code_distance=code.distance,
-        rounds=rounds,
-        trials=run.trials,
-        logical_failures=failures,
-        decoder_name=decoder_name or kernel_name,
-        onchip_rounds=onchip_rounds,
-        total_rounds=total_rounds,
-        tier_names=tier_names,
-        tier_trials=tier_trials,
-        tier_rounds=tier_rounds,
-        engine_degraded=report.engine_degraded,
-        skipped_shards=len(report.skipped_shards),
-        skipped_trials=report.skipped_trials,
-    )
-
-
 __all__ = [
     "AUTO_CHUNK",
-    "CHECKPOINT_STATE_VERSION",
     "DEFAULT_SHARD_TRIALS",
     "AdaptiveShardRun",
     "MemoryKernel",
@@ -711,8 +423,7 @@ __all__ = [
     "merge_memory_counts",
     "plan_shards",
     "resolve_auto_chunk",
+    "resolve_workers",
     "run_sharded",
     "run_sharded_adaptive",
-    "run_memory_experiment_adaptive",
-    "run_memory_experiment_sharded",
 ]

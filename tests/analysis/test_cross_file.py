@@ -132,8 +132,8 @@ class TestKey001:
         runner = scratch_tree / "simulation/coverage.py"
         edit(
             runner,
-            "    schedule: str | None = None,\n) -> CoverageResult:",
-            "    schedule: str | None = None,\n"
+            "    checkpoint: object | None = None,\n) -> CoverageResult:",
+            "    checkpoint: object | None = None,\n"
             f"{FAKE_KWARG}\n"
             ") -> CoverageResult:",
         )

@@ -1,13 +1,15 @@
-"""Per-rule good/bad fixture tests for the module-local lint rules.
+"""Per-rule good/bad fixture tests for the lint rules.
 
 Every bad fixture pins *exactly one* finding with its rule id and line
 (the acceptance contract of the linter: seeding a violation yields one
-finding with correct coordinates); every good fixture pins zero.
+finding with correct coordinates); every good fixture pins zero.  The
+module-local rules lint in-memory snippets; KEY001's stale-exclusion check
+lints the exclusion list of a scratch copy of the real tree.
 """
 
 from __future__ import annotations
 
-from repro.analysis import lint_source
+from repro.analysis import lint_paths, lint_source
 
 #: Default virtual locations: kernel scope and non-kernel scope.
 KERNEL = "repro/simulation/snippet.py"
@@ -276,3 +278,86 @@ class TestPkl001PicklableKernels:
             "PKL001",
             2,
         )
+
+    def test_lambda_sweep_point_kernel_is_flagged(self):
+        assert_one(
+            "from repro.simulation.scheduler import SweepPoint\n"
+            "point = SweepPoint('p', lambda n, rng: (0, n), trials=10)\n",
+            OUTSIDE,
+            "PKL001",
+            2,
+        )
+
+    def test_local_function_sweep_point_kernel_is_flagged(self):
+        assert_one(
+            "from repro.simulation.scheduler import SweepPoint\n"
+            "\n"
+            "def outer():\n"
+            "    def kernel(n, rng):\n"
+            "        return (0, n)\n"
+            "    return SweepPoint(point_id='p', kernel=kernel, trials=10)\n",
+            OUTSIDE,
+            "PKL001",
+            6,
+        )
+
+    def test_module_level_sweep_point_kernel_passes(self):
+        assert_clean(
+            "from repro.simulation.scheduler import SweepPoint\n"
+            "\n"
+            "def kernel(n, rng):\n"
+            "    return (0, n)\n"
+            "\n"
+            "def make(finalize):\n"
+            "    def on_complete(result):\n"
+            "        return None\n"
+            "    return SweepPoint(\n"
+            "        'p', kernel, 10, finalize=lambda outcome: outcome,\n"
+            "        on_complete=on_complete,\n"
+            "    )\n",
+            OUTSIDE,
+        )
+
+
+def _line_of(path, needle: str) -> int:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return next(number for number, text in enumerate(lines, 1) if needle in text)
+
+
+class TestKey001StaleExclusions:
+    def test_the_real_exclusion_list_has_no_stale_entries(self, scratch_tree):
+        assert lint_paths([scratch_tree / "store/keys.py"]) == []
+
+    def test_entry_naming_no_runner_keyword_is_flagged(self, scratch_tree):
+        keys = scratch_tree / "store/keys.py"
+        source = keys.read_text(encoding="utf-8")
+        anchor = '    "packed": '
+        assert anchor in source
+        keys.write_text(
+            source.replace(
+                anchor, '    "retired_knob": "knob that no runner takes",\n' + anchor
+            ),
+            encoding="utf-8",
+        )
+        findings = lint_paths([keys])
+        assert [(f.rule, f.line) for f in findings] == [
+            ("KEY001", _line_of(keys, '"retired_knob"'))
+        ]
+        assert "retired_knob" in findings[0].message
+
+    def test_deleting_a_knob_leaves_its_entry_stale(self, scratch_tree):
+        runner = scratch_tree / "simulation/memory.py"
+        source = runner.read_text(encoding="utf-8")
+        assert "    packed: bool = True,\n) -> MemoryExperimentResult:" in source
+        runner.write_text(
+            source.replace(
+                "    packed: bool = True,\n) -> MemoryExperimentResult:",
+                ") -> MemoryExperimentResult:",
+            ),
+            encoding="utf-8",
+        )
+        keys = scratch_tree / "store/keys.py"
+        findings = lint_paths([keys, runner])
+        assert [(f.rule, f.line) for f in findings] == [
+            ("KEY001", _line_of(keys, '    "packed": '))
+        ]

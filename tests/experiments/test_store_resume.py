@@ -3,7 +3,7 @@
 Covers the two headline behaviours:
 
 * a fig14 paper-scale-shaped sweep killed mid-run and re-invoked with the
-  same store recomputes only the missing points (kernel invocations are
+  same store recomputes only the missing points (scheduled points are
   counted);
 * a fully-warm fig11 re-run produces byte-identical rows to the cold run
   while invoking zero Monte-Carlo kernels;
@@ -21,7 +21,7 @@ import repro.experiments.fig16 as fig16_module
 from repro.experiments.registry import run_experiment
 from repro.simulation.monte_carlo import until_wilson
 from repro.simulation.shard import run_sharded_adaptive
-from repro.store import ResultStore
+from repro.store import ResultStore, SweepCache
 
 
 class _BernoulliKernel:
@@ -49,11 +49,6 @@ FIG14_PARAMS = dict(
     error_rates=(1e-2, 2e-2),
     workers=1,
     seed=11,
-    # Pin the per-point dispatch path: these tests count
-    # ``run_memory_experiment`` invocations, which the default sweep
-    # schedule replaces with scheduler tasks (its resume behaviour is
-    # pinned in test_schedule_identity.py).
-    schedule="point",
 )
 FIG14_POINTS = 2 * 2 * 2  # distances x rates x decoders
 
@@ -89,8 +84,9 @@ class TestFig14KilledSweepResume:
         store_dir = tmp_path / "store"
         killed_after = 3
 
+        # The kill lands as the sweep persists its next finished point.
         first_calls = _counting(
-            monkeypatch, fig14_module, "run_memory_experiment", kill_after=killed_after
+            monkeypatch, SweepCache, "finish", kill_after=killed_after
         )
         with pytest.raises(_Killed):
             run_experiment("fig14", store=str(store_dir), **FIG14_PARAMS)
@@ -98,7 +94,7 @@ class TestFig14KilledSweepResume:
         assert len(ResultStore(store_dir)) == killed_after
 
         monkeypatch.undo()
-        second_calls = _counting(monkeypatch, fig14_module, "run_memory_experiment")
+        second_calls = _counting(monkeypatch, fig14_module, "memory_point")
         resumed = run_experiment("fig14", store=str(store_dir), **FIG14_PARAMS)
         assert len(second_calls) == FIG14_POINTS - killed_after
         assert len(resumed.rows) == FIG14_POINTS // 2
@@ -111,7 +107,7 @@ class TestFig14KilledSweepResume:
     def test_force_recomputes_every_point(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
         run_experiment("fig14", store=str(store_dir), **FIG14_PARAMS)
-        calls = _counting(monkeypatch, fig14_module, "run_memory_experiment")
+        calls = _counting(monkeypatch, fig14_module, "memory_point")
         run_experiment("fig14", store=str(store_dir), force=True, **FIG14_PARAMS)
         assert len(calls) == FIG14_POINTS
 
@@ -123,13 +119,13 @@ class TestPackedStoreCompatibility:
         # ``packed`` selects an execution strategy, not a result: like
         # ``workers`` it is excluded from store keys (and results are
         # bit-identical either way), so a sweep computed unpacked must be a
-        # fully-warm hit when re-run packed — zero kernel invocations,
+        # fully-warm hit when re-run packed — zero scheduled points,
         # identical rows.
         store_dir = tmp_path / "store"
         cold = run_experiment(
             "fig14", store=str(store_dir), packed=False, **FIG14_PARAMS
         )
-        calls = _counting(monkeypatch, fig14_module, "run_memory_experiment")
+        calls = _counting(monkeypatch, fig14_module, "memory_point")
         warm = run_experiment(
             "fig14", store=str(store_dir), packed=True, **FIG14_PARAMS
         )
@@ -277,8 +273,6 @@ class TestAdaptiveWaveCheckpointing:
         # Through the store layer the lifecycle completes: the point's
         # checkpoint survives the adaptive run itself and is removed by
         # SweepCache.point once the result is durably in results.jsonl.
-        from repro.store import SweepCache
-
         store = ResultStore(tmp_path)
         cache = SweepCache(store, "adaptive-test")
         config = {"kind": "bernoulli"}

@@ -27,3 +27,15 @@ class BernoulliKernel:
 def bernoulli_successes(counts):
     """``successes_of`` extractor for :class:`BernoulliKernel` partials."""
     return counts[0]
+
+
+class KernelFailure(RuntimeError):
+    """The error :class:`FailingKernel` raises (module-level so it pickles)."""
+
+
+@dataclass(frozen=True)
+class FailingKernel:
+    """Kernel whose every call raises :class:`KernelFailure`."""
+
+    def __call__(self, n_trials, rng):
+        raise KernelFailure(f"kernel failed on {n_trials} trials")

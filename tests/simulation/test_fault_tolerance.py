@@ -32,13 +32,15 @@ from repro.faults import (
 )
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.monte_carlo import until_wilson
-from repro.simulation.shard import (
-    run_memory_experiment_sharded,
-    run_sharded,
-    run_sharded_adaptive,
-)
+from repro.simulation.memory import run_memory_experiment
+from repro.simulation.shard import run_sharded, run_sharded_adaptive
 from repro.store import AdaptiveCheckpoint, to_dict
-from shard_kernels import BernoulliKernel, bernoulli_successes
+from shard_kernels import (
+    BernoulliKernel,
+    FailingKernel,
+    KernelFailure,
+    bernoulli_successes,
+)
 
 #: No-sleep policy for tests: retries are instant, results unaffected.
 FAST = dict(backoff_base=0.0)
@@ -105,6 +107,24 @@ class TestRetryEquivalence:
                 fault_injector=FaultInjector.from_text("shard 0 raise"),
             )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_retries_chains_the_kernel_error(self, monkeypatch, workers):
+        # No injector: the kernel's own error exhausts the zero-retry budget
+        # and is chained as the cause, in-process and pooled alike.
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        with pytest.raises(ShardRetriesExhaustedError) as info:
+            run_sharded(
+                FailingKernel(),
+                trials=20,
+                seed=1,
+                chunk_trials=10,
+                workers=workers,
+                faults=FaultPolicy(max_retries=0),
+            )
+        assert isinstance(info.value.__cause__, KernelFailure)
+        assert "kernel failed on 10 trials" in str(info.value.__cause__)
+        assert info.value.attempts == 1
+
     def test_configuration_errors_are_never_retried(self):
         class MisconfiguredKernel:
             def __call__(self, n_trials, rng):
@@ -155,7 +175,7 @@ class TestSkipProvenance:
 
     def test_skipped_trials_ride_the_memory_result_and_reduce_trials(self, code_d3):
         noise = PhenomenologicalNoise(1e-2)
-        result = run_memory_experiment_sharded(
+        result = run_memory_experiment(
             code_d3,
             noise,
             _mwpm_factory,
@@ -165,12 +185,14 @@ class TestSkipProvenance:
             workers=1,
             faults=FaultPolicy(max_retries=0, on_exhausted="skip", **FAST),
             fault_injector=FaultInjector.from_text("shard 1 attempts 0-9 raise"),
+            engine="sharded",
         )
         assert result.skipped_shards == 1
         assert result.skipped_trials == 20
         assert result.trials == 40
-        clean = run_memory_experiment_sharded(
-            code_d3, noise, _mwpm_factory, trials=60, rng=11, chunk_trials=20, workers=1
+        clean = run_memory_experiment(
+            code_d3, noise, _mwpm_factory, trials=60, rng=11, chunk_trials=20,
+            workers=1, engine="sharded",
         )
         assert clean.skipped_shards == 0
         assert clean.trials == 60
@@ -244,7 +266,7 @@ class TestPoolRecovery:
         assert report.engine_degraded
         # The degradation also lands on the memory result's metadata.
         with pytest.warns(DegradedExecutionWarning):
-            result = run_memory_experiment_sharded(
+            result = run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _mwpm_factory,
@@ -253,6 +275,7 @@ class TestPoolRecovery:
                 chunk_trials=10,
                 workers=2,
                 faults=FaultPolicy(**FAST),
+                engine="sharded",
             )
         assert result.engine_degraded
 
@@ -328,7 +351,7 @@ def fault_plan_strategy(max_shards):
 
 def memory_run(distance, code, plan=None):
     trials, chunk = (60, 20) if distance == 5 else (40, 20)
-    return run_memory_experiment_sharded(
+    return run_memory_experiment(
         code,
         PhenomenologicalNoise(1e-2),
         _mwpm_factory,
@@ -341,6 +364,7 @@ def memory_run(distance, code, plan=None):
         # a hung shard simulates its timeout instantly at 0.01 s.
         faults=FaultPolicy(max_retries=4, shard_timeout=0.01, **FAST),
         fault_injector=None if plan is None else FaultInjector(plan),
+        engine="sharded",
     )
 
 

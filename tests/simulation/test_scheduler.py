@@ -1,16 +1,19 @@
-"""Sweep scheduler: byte-equality with the per-point runners, by construction.
+"""Sweep scheduler: every point obeys the seeding contract, by construction.
 
 The core claim under test: :class:`~repro.simulation.SweepScheduler` only
-changes *when* shards execute — never which shards exist, which RNG streams
-they draw, or the order partials merge — so every scheduled point equals its
-per-point :func:`~repro.simulation.run_sharded` /
-:func:`~repro.simulation.run_sharded_adaptive` run exactly, at any worker
-count, checkpoints included.  Plus the satellite contracts: one pool per
-sweep (not per point), ``chunk="auto"`` resolution, the executor's dynamic
-task feed, and the point-qualified fault-plan grammar.
+decides *when* shards execute — never which shards exist, which RNG streams
+they draw, or the order partials merge — so every scheduled point equals the
+merge of ``kernel(n_i, shard_rng(seed, i))`` over its shard plan (adaptive
+points: over the waves of ``WilsonStoppingRule.next_wave``) exactly, at any
+worker count, checkpoints included.  Plus the satellite contracts: one pool
+per sweep (not per point), capped at the shard count for fixed budgets,
+``chunk="auto"`` resolution, the executor's dynamic task feed, and the
+point-qualified fault-plan grammar.
 """
 
 from __future__ import annotations
+
+import concurrent.futures
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.faults import (
     parse_fault_plan,
     pool_construction_count,
 )
+from repro.noise.rng import shard_rng
 from repro.simulation import (
     SweepPoint,
     SweepScheduler,
@@ -30,8 +34,44 @@ from repro.simulation import (
     run_sharded_adaptive,
     until_wilson,
 )
-from repro.simulation.scheduler import validate_schedule
+from repro.simulation.scheduler import CHECKPOINT_STATE_VERSION
+from repro.simulation.shard import merge_counts, plan_shards
 from shard_kernels import BernoulliKernel, bernoulli_successes
+
+
+def contract_merge(kernel, sizes, seed, first_index=0, merged=None):
+    """The seeding contract: merge ``kernel(n_i, shard_rng(seed, i))`` in order."""
+    for index, shard_trials in enumerate(sizes, start=first_index):
+        partial = kernel(shard_trials, shard_rng(seed, index))
+        merged = partial if merged is None else merge_counts(merged, partial)
+    return merged
+
+
+def contract_adaptive(kernel, stop, seed, chunk):
+    """Adaptive seeding contract: waves of ``stop.next_wave``, shards by index.
+
+    Returns ``(merged, trials_done, shards, checkpoint_states)``.
+    """
+    merged, done, index, states = None, 0, 0, []
+    while merged is None or not stop.satisfied(bernoulli_successes(merged), done):
+        wave = stop.next_wave(done)
+        if wave <= 0:
+            break
+        sizes = plan_shards(wave, chunk)
+        merged = contract_merge(kernel, sizes, seed, index, merged)
+        index += len(sizes)
+        done += wave
+        states.append(
+            {
+                "version": CHECKPOINT_STATE_VERSION,
+                "seed": seed,
+                "chunk_trials": chunk,
+                "trials_done": done,
+                "next_index": index,
+                "merged": list(merged),
+            }
+        )
+    return merged, done, index, states
 
 
 class RecordingCheckpoint:
@@ -75,12 +115,10 @@ def adaptive_point(point_id, rate, stop, seed, chunk, checkpoint=None):
     )
 
 
-class TestSchedulerEquivalence:
+class TestSeedingContract:
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_fixed_point_matches_run_sharded(self, workers):
-        expected = run_sharded(
-            BernoulliKernel(0.3), trials=370, seed=11, chunk_trials=40, workers=1
-        )
+    def test_fixed_point_is_the_contract_merge(self, workers):
+        expected = contract_merge(BernoulliKernel(0.3), plan_shards(370, 40), 11)
         outcome = SweepScheduler(workers=workers).run(
             [fixed_point("p", 0.3, 370, 11, 40)]
         )["p"]
@@ -90,27 +128,43 @@ class TestSchedulerEquivalence:
         assert outcome.skipped_shards == 0
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_adaptive_point_matches_run_sharded_adaptive(self, workers):
+    def test_run_sharded_is_the_contract_merge(self, workers):
+        expected = contract_merge(BernoulliKernel(0.3), plan_shards(370, 40), 11)
+        assert (
+            run_sharded(
+                BernoulliKernel(0.3),
+                trials=370,
+                seed=11,
+                chunk_trials=40,
+                workers=workers,
+            )
+            == expected
+        )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_adaptive_point_follows_the_wave_contract(self, workers):
         stop = until_wilson(0.08, min_trials=60, max_trials=2000)
-        expected = run_sharded_adaptive(
+        merged, done, shards, _ = contract_adaptive(BernoulliKernel(0.2), stop, 5, 25)
+        outcome = SweepScheduler(workers=workers).run(
+            [adaptive_point("p", 0.2, stop, 5, 25)]
+        )["p"]
+        assert outcome.value == merged
+        assert outcome.trials == done
+        assert outcome.successes == merged[0]
+        assert outcome.shards == shards
+        runner = run_sharded_adaptive(
             BernoulliKernel(0.2),
             stop=stop,
             successes_of=bernoulli_successes,
             seed=5,
             chunk_trials=25,
-            workers=1,
+            workers=workers,
         )
-        outcome = SweepScheduler(workers=workers).run(
-            [adaptive_point("p", 0.2, stop, 5, 25)]
-        )["p"]
-        assert outcome.value == expected.value
-        assert outcome.trials == expected.trials
-        assert outcome.successes == expected.successes
-        assert outcome.interval == expected.interval
-        assert outcome.shards == expected.shards
+        assert (runner.value, runner.trials, runner.shards) == (merged, done, shards)
+        assert runner.interval == outcome.interval
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_interleaved_mixed_sweep_matches_sequential_points(self, workers):
+    def test_interleaved_mixed_sweep_follows_the_contract(self, workers):
         stop = until_wilson(0.1, min_trials=50, max_trials=1000)
         points = [
             fixed_point("a", 0.4, 300, 1, 30),
@@ -118,42 +172,26 @@ class TestSchedulerEquivalence:
             fixed_point("c", 0.05, 155, 3, 50),
         ]
         results = SweepScheduler(workers=workers).run(points)
-        assert results["a"].value == run_sharded(
-            BernoulliKernel(0.4), trials=300, seed=1, chunk_trials=30, workers=1
+        assert results["a"].value == contract_merge(
+            BernoulliKernel(0.4), plan_shards(300, 30), 1
         )
-        expected_b = run_sharded_adaptive(
-            BernoulliKernel(0.15),
-            stop=stop,
-            successes_of=bernoulli_successes,
-            seed=2,
-            chunk_trials=20,
-            workers=1,
-        )
-        assert results["b"].value == expected_b.value
-        assert results["b"].trials == expected_b.trials
-        assert results["c"].value == run_sharded(
-            BernoulliKernel(0.05), trials=155, seed=3, chunk_trials=50, workers=1
+        merged_b, done_b, _, _ = contract_adaptive(BernoulliKernel(0.15), stop, 2, 20)
+        assert results["b"].value == merged_b
+        assert results["b"].trials == done_b
+        assert results["c"].value == contract_merge(
+            BernoulliKernel(0.05), plan_shards(155, 50), 3
         )
 
-    def test_adaptive_checkpoint_states_match_per_point_runner(self):
-        # The scheduler must save byte-for-byte the states the per-point
-        # runner saves: same layout, same wave boundaries, same merged counts.
+    def test_adaptive_checkpoint_states_follow_the_wave_contract(self):
+        # One saved state per wave, in the documented layout, carrying the
+        # contract's cursor and merged counts.
         stop = until_wilson(0.08, min_trials=60, max_trials=2000)
-        reference = RecordingCheckpoint()
-        run_sharded_adaptive(
-            BernoulliKernel(0.2),
-            stop=stop,
-            successes_of=bernoulli_successes,
-            seed=5,
-            chunk_trials=25,
-            workers=1,
-            checkpoint=reference,
-        )
+        _, _, _, states = contract_adaptive(BernoulliKernel(0.2), stop, 5, 25)
         scheduled = RecordingCheckpoint()
         SweepScheduler(workers=2).run(
             [adaptive_point("p", 0.2, stop, 5, 25, checkpoint=scheduled)]
         )
-        assert scheduled.saves == reference.saves
+        assert scheduled.saves == states
 
     def test_adaptive_point_resumes_from_checkpoint(self):
         stop = until_wilson(0.08, min_trials=60, max_trials=2000)
@@ -193,6 +231,30 @@ class TestSchedulerPoolReuse:
         assert pool_construction_count() - before == 0
 
 
+class TestPoolCap:
+    def test_single_shard_run_builds_no_pool(self):
+        before = pool_construction_count()
+        run_sharded(BernoulliKernel(0.2), trials=80, seed=3, chunk_trials=80, workers=4)
+        assert pool_construction_count() - before == 0
+
+    def test_fixed_sweep_pool_is_capped_at_its_shard_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        before = pool_construction_count()
+        # 2 + 1 shards in total against 8 requested workers.
+        SweepScheduler(workers=8).run(
+            [fixed_point("a", 0.2, 60, 1, 30), fixed_point("b", 0.3, 30, 2, 30)]
+        )
+        assert pool_construction_count() - before == 1
+        assert sizes == [3]
+
+
 class TestSchedulerValidation:
     def test_duplicate_point_ids_rejected(self):
         points = [fixed_point("p", 0.2, 100, 1, 50), fixed_point("p", 0.3, 100, 2, 50)]
@@ -214,12 +276,6 @@ class TestSchedulerValidation:
     def test_empty_sweep_is_a_no_op(self):
         assert SweepScheduler(workers=4).run([]) == {}
 
-    def test_validate_schedule(self):
-        assert validate_schedule("sweep") == "sweep"
-        assert validate_schedule("point") == "point"
-        with pytest.raises(ConfigurationError, match="schedule"):
-            validate_schedule("turbo")
-
 
 class TestAutoChunk:
     def test_short_high_distance_point_still_fans_out(self):
@@ -235,8 +291,6 @@ class TestAutoChunk:
     @pytest.mark.parametrize("workers", [2, 4, 8])
     @pytest.mark.parametrize("distance", [3, 7, 11, 21])
     def test_at_least_two_shards_per_worker(self, trials, workers, distance):
-        from repro.simulation.shard import plan_shards
-
         chunk = resolve_auto_chunk(trials, workers, distance)
         assert len(plan_shards(trials, chunk)) >= 2 * workers
 
@@ -272,12 +326,8 @@ class TestRunDynamic:
             )
         assert len(results) == 3
         assert sorted(index for index, _ in followed) == [0, 1, 2]
-        # Every task's result is the same pure function of (seed, shard index)
-        # the static runner computes.
-        expected = [
-            run_sharded(kernel, trials=40, seed=9, chunk_trials=40, workers=1)
-        ]
-        assert results[0] == expected[0]
+        # Every task's result is the same pure function of (seed, shard index).
+        assert results == [kernel(40, shard_rng(9, index)) for index in range(3)]
 
     def test_sequential_and_pooled_feeds_agree(self):
         kernel = BernoulliKernel(0.2)

@@ -21,11 +21,7 @@ from repro.noise.rng import resolve_entropy, shard_rng
 from repro.simulation.batch import run_memory_experiment_batch
 from repro.simulation.coverage import CoverageKernel, simulate_clique_coverage
 from repro.simulation.memory import run_memory_experiment
-from repro.simulation.shard import (
-    plan_shards,
-    run_memory_experiment_sharded,
-    run_sharded,
-)
+from repro.simulation.shard import plan_shards, run_sharded
 from repro.types import StabilizerType
 
 from shard_kernels import BernoulliKernel
@@ -207,7 +203,7 @@ class TestShardedDeterminism:
         # shard with the contract's generators and summing the counts.
         noise = PhenomenologicalNoise(1e-2)
         seed, chunk = 23, 300
-        sharded = run_memory_experiment_sharded(
+        sharded = run_memory_experiment(
             code_d5,
             noise,
             _hierarchical,
@@ -215,6 +211,7 @@ class TestShardedDeterminism:
             rng=seed,
             chunk_trials=chunk,
             workers=1,
+            engine="sharded",
         )
         failures = onchip = total = 0
         for index, shard_trials in enumerate(plan_shards(1000, chunk)):
@@ -272,12 +269,13 @@ class TestShardedDeterminism:
 class TestShardedValidation:
     def test_generator_rng_is_rejected(self, code_d3):
         with pytest.raises(ConfigurationError):
-            run_memory_experiment_sharded(
+            run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _hierarchical,
                 trials=100,
                 rng=np.random.default_rng(1),
+                engine="sharded",
             )
 
     def test_workers_only_for_sharded(self, code_d3):
@@ -293,13 +291,14 @@ class TestShardedValidation:
 
     def test_invalid_workers_rejected(self, code_d3):
         with pytest.raises(ConfigurationError):
-            run_memory_experiment_sharded(
+            run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _hierarchical,
                 trials=100,
                 rng=1,
                 workers=0,
+                engine="sharded",
             )
 
     def test_result_metadata_is_preserved(self, code_d3):

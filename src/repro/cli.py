@@ -17,7 +17,6 @@ Examples:
     repro-qec fig14 --scale paper --store results/   # resume on re-run
     repro-qec fig14 --scale paper --store results/ --force
     repro-qec fig14 --scale paper --max-retries 4 --shard-timeout 300
-    repro-qec run fig14 --no-packed                  # unpacked reference path
     repro-qec store compact results/                 # GC a long-lived store
     repro-qec lint src/repro                         # static contract checks
     repro-qec lint --format json src/ benchmarks/    # stable output for CI
@@ -47,15 +46,13 @@ directory; see README.md → "Results and resume".  ``--max-retries`` /
 shards replay their RNG streams bit-identically, so neither flag ever
 changes results); see README.md → "Fault tolerance".  Every sharded sweep
 drives all its pending points' shards through one persistent worker pool;
-see README.md → "Sweep scheduling".  ``--no-packed``
-switches the batch/sharded memory engines off their default uint64
-bitplane kernels onto the unpacked uint8 reference path — bit-identical
-results, lower throughput; see README.md → "Packed kernels".  ``lint``
-statically enforces the repo's contract rules (seeding/determinism, store
-keys, lazy heavy imports, dtype discipline, sharded-kernel picklability,
-tier protocol) with ``ruff``-style findings, ``--select/--ignore``, a
-``# repro: allow[RULE]`` pragma, and exit codes 0/1/2; see README.md →
-"Static analysis".
+see README.md → "Sweep scheduling".  The batch and sharded memory engines
+run on uint64 trial-bitplane kernels; see README.md → "Packed kernels".
+``lint`` statically enforces the repo's contract rules (seeding/determinism,
+store keys, lazy heavy imports, dtype discipline, sharded-kernel
+picklability, tier protocol) with ``ruff``-style findings,
+``--select/--ignore``, a ``# repro: allow[RULE]`` pragma, and exit codes
+0/1/2; see README.md → "Static analysis".
 """
 
 from __future__ import annotations
@@ -273,19 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--no-packed",
-        action="store_false",
-        dest="packed",
-        default=None,
-        help=(
-            "memory experiments (fig14/fig14_fallbacks): run the batch/"
-            "sharded engines on the unpacked uint8 reference path instead of "
-            "the default uint64 bitplane kernels (bit-identical results "
-            "under the same seed; packed only changes throughput and peak "
-            "memory — see README.md -> 'Packed kernels')"
-        ),
-    )
-    run_parser.add_argument(
         "--scale",
         choices=("laptop", "paper"),
         default=None,
@@ -445,7 +429,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "target_ci_width",
             "max_retries",
             "shard_timeout",
-            "packed",
         ):
             value = getattr(args, flag)
             if value is not None:

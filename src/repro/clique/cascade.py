@@ -56,12 +56,7 @@ from repro import bitplane
 from repro.clique.decoder import CliqueDecoder
 from repro.clique.measurement_filter import PersistenceFilter
 from repro.codes.rotated_surface import RotatedSurfaceCode
-from repro.decoders.base import (
-    BatchDecodeResult,
-    Decoder,
-    DecodeResult,
-    PackedBatchDecodeResult,
-)
+from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
 from repro.decoders.matching_graph import MatchingGraph
 from repro.decoders.mwpm import DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT, MWPMDecoder
 from repro.decoders.registry import CLIQUE_TIER, resolve_tier_name
@@ -372,7 +367,7 @@ class DecoderCascade(Decoder):
         """Send one trial's off-chip events down the off-chip tiers.
 
         The single shared descent used by both :meth:`decode_history` and
-        the batched paths — which is what keeps them bit-identical.  Each
+        the packed batch path — which is what keeps them bit-identical.  Each
         intermediate tier XORs its partial correction into the trial's
         bitmap and hands the surviving event subset (oversized clusters'
         members) to the next tier; the final tier resolves whatever reaches
@@ -415,102 +410,25 @@ class DecoderCascade(Decoder):
         return bitmap, handled, shipped
 
     # ------------------------------------------------------------------
-    def decode_batch(self, histories: np.ndarray) -> BatchDecodeResult:
-        """Vectorised batch decoding: triage all trials' rounds at once.
-
-        This is the paper's own triage insight applied to the simulator: the
-        overwhelming majority of rounds are trivially explainable by the
-        Clique logic, so their filtering, decision, and correction assembly
-        run as whole-batch array operations (a Python loop over *rounds*, not
-        over ``trials x rounds``).  Only the rare off-chip minority pays a
-        per-trial tier decode, and each deeper tier sees only its
-        predecessor's escalation subset.  The round-by-round dynamics below
-        mirror :meth:`decode_history` statement for statement, so the result
-        is bit-identical to the per-trial reference path.
-        """
-        batch = self._as_detection_batch(histories)
-        trials, num_rounds, _ = batch.shape
-        window = self._filter.rounds
-        active = batch.astype(bool)
-        consumed = np.zeros_like(active)
-        offchip_mask = np.zeros_like(batch)
-        offchip_round_counts = np.zeros(trials, dtype=np.int64)
-        corrections = np.zeros((trials, self._code.num_data_qubits), dtype=np.uint8)
-
-        for round_index in range(num_rounds):
-            # Only the filter window [round_index, round_index + window) is
-            # ever read, so the masked view is sliced to it.
-            window_end = min(round_index + window, num_rounds)
-            masked = (
-                active[:, round_index:window_end] & ~consumed[:, round_index:window_end]
-            )
-            visible = masked[:, 0]
-            if masked.shape[1] > 1:
-                repeats = masked[:, 1:].any(axis=1)
-            else:
-                repeats = np.zeros_like(visible)
-            sticky = visible & ~repeats
-            transient = visible & repeats
-            trivial = self._clique.is_trivial_batch(sticky)
-
-            # On-chip branch: corrections accumulate with XOR-across-rounds
-            # semantics, and each transient event consumes its first future
-            # partner flip so it is never decoded twice.
-            corrections ^= self._clique.correction_bitmap(sticky & trivial[:, None])
-            remaining = transient & trivial[:, None]
-            for offset in range(1, window_end - round_index):
-                if not remaining.any():
-                    break
-                hit = remaining & masked[:, offset]
-                consumed[:, round_index + offset] |= hit
-                remaining &= ~hit
-
-            # Off-chip branch: the round's whole visible signature is queued
-            # for the off-chip tiers.
-            complex_rows = ~trivial
-            offchip_mask[complex_rows, round_index] = visible[complex_rows]
-            offchip_round_counts += complex_rows
-
-            # Both branches consume everything visible this round.
-            consumed[:, round_index] |= visible
-
-        tier_trials = np.zeros(self.num_tiers, dtype=np.int64)
-        tier_rounds = np.zeros(self.num_tiers, dtype=np.int64)
-        offchip_trials = np.flatnonzero(offchip_round_counts)
-        tier_trials[0] = trials - offchip_trials.size
-        tier_rounds[0] = trials * num_rounds - int(offchip_round_counts.sum())
-        if offchip_trials.size:
-            corrections[offchip_trials] ^= self._offchip_corrections(
-                offchip_mask[offchip_trials],
-                tier_trials,
-                tier_rounds,
-            )
-
-        return BatchDecodeResult(
-            corrections=corrections,
-            onchip_rounds=num_rounds - offchip_round_counts,
-            total_rounds=np.full(trials, num_rounds, dtype=np.int64),
-            tier_trials=tier_trials,
-            tier_rounds=tier_rounds,
-        )
-
-    # ------------------------------------------------------------------
     def decode_batch_packed(
         self, detections: np.ndarray, trials: int
     ) -> PackedBatchDecodeResult:
         """Native packed triage: the whole batch as uint64 trial bitplanes.
 
-        Word-level mirror of :meth:`decode_batch`: every boolean per
-        ``(trial, ancilla)`` entry there becomes one bit of a
-        ``(num_ancillas, words)`` plane pair here, with AND/OR/XOR/NOT
-        standing in for the boolean algebra 64 trials at a time.  Trivial
-        rounds never leave word space; the escalated minority is extracted
-        (in increasing trial order, so the shared ``np.nonzero``-fixed
-        tie-breaks are preserved) and runs through the identical unpacked
-        off-chip tier path, keeping results and per-tier statistics
-        bit-identical to :meth:`decode_batch`.  Padding bits of the ragged
-        last word stay zero throughout, so they are never sticky, complex,
-        or counted.
+        This is the paper's own triage insight applied to the simulator: the
+        overwhelming majority of rounds are trivially explainable by the
+        Clique logic, so their filtering, decision, and correction assembly
+        run as word-wise AND/OR/XOR/NOT over ``(num_ancillas, words)``
+        planes, 64 trials at a time (a Python loop over *rounds*, not over
+        ``trials x rounds``).  The round-by-round dynamics mirror
+        :meth:`decode_history` statement for statement.  Trivial rounds
+        never leave word space; the escalated minority is extracted (in
+        increasing trial order, so the shared ``np.nonzero``-fixed
+        tie-breaks are preserved) and descends the same per-trial off-chip
+        tier path as :meth:`decode_history`, keeping corrections and
+        per-tier statistics bit-identical to per-trial decoding.  Padding
+        bits of the ragged last word stay zero throughout, so they are never
+        sticky, complex, or counted.
         """
         planes = self._as_packed_detection_batch(detections, trials)
         num_rounds = planes.shape[0]

@@ -39,8 +39,8 @@ class _PackedCliqueTables:
     has-boundary flag broadcast over 64 trials).  The contribution tables
     flatten the one-hot correction matrices into sparse (source, target
     qubit) pairs sorted by target so a single ``np.bitwise_or.reduceat``
-    collapses same-qubit contributions with the same set-union semantics as
-    :meth:`CliqueDecoder.correction_bitmap`.
+    collapses same-qubit contributions with the set-union semantics of
+    :meth:`CliqueDecoder.decide`'s ``correction`` set.
     """
 
     boundary_mask: np.ndarray  # (num_cliques, 1) uint64
@@ -121,7 +121,8 @@ class CliqueDecoder(Decoder):
         # into its correction ROM): row ``4*i + slot`` of the leaf table maps
         # "clique i sees its slot-th leaf set" to the shared data qubit, and
         # row ``i`` of the boundary table maps "clique i active with no set
-        # leaf" to its first boundary qubit.
+        # leaf" to its first boundary qubit.  :meth:`_packed_tables` flattens
+        # both into sparse (source, target qubit) contribution lists.
         data_index = code.data_index
         num_data = code.num_data_qubits
         self._leaf_correction_table = np.zeros((num * 4, num_data), dtype=np.int64)
@@ -167,38 +168,6 @@ class CliqueDecoder(Decoder):
     def is_trivial_batch(self, signatures: np.ndarray) -> np.ndarray:
         """True per signature row when no clique is complex (on-chip decodable)."""
         return ~self.complex_mask(signatures).any(axis=-1)
-
-    def correction_bitmap(self, signatures: np.ndarray) -> np.ndarray:
-        """Vectorised correction assembly for a batch of *trivial* signatures.
-
-        Args:
-            signatures: array of shape ``(..., num_ancillas)`` with 0/1
-                entries; every row must already have passed
-                :meth:`is_trivial_batch` (rows with complex cliques produce
-                garbage, never an error).
-
-        Returns:
-            uint8 bitmap of shape ``(..., num_data_qubits)`` in
-            ``code.data_index`` column order, equal per row to the bitmap of
-            :meth:`decide`'s ``correction`` set: within one signature,
-            contributions from different cliques to the same qubit collapse
-            (set-union semantics), matching the idempotent hardware OR.
-        """
-        signatures = np.asarray(signatures, dtype=np.uint8) & 1
-        batch_shape = signatures.shape[:-1]
-        num = len(self._cliques)
-        padded = np.concatenate(
-            [signatures, np.zeros(batch_shape + (1,), dtype=np.uint8)], axis=-1
-        )
-        leaf_set = padded[..., self._neighbor_table].astype(bool)
-        active = signatures.astype(bool)
-        # Odd-leaf case: flip the qubit shared with each set leaf.
-        pair_contrib = (active[..., None] & leaf_set).reshape(batch_shape + (num * 4,))
-        counts = pair_contrib.astype(np.int64) @ self._leaf_correction_table
-        # Boundary case: active clique with no set leaf flips a boundary qubit.
-        lone = active & ~leaf_set.any(axis=-1)
-        counts += lone.astype(np.int64) @ self._boundary_correction_table
-        return (counts > 0).astype(np.uint8)
 
     # ------------------------------------------------------------------
     # Packed (uint64 bitplane) decision helpers — trial ``t`` of every plane
@@ -271,9 +240,11 @@ class CliqueDecoder(Decoder):
                 never an error) — callers mask with the trivial word vector.
 
         Returns:
-            uint64 correction planes of shape ``(num_data_qubits, words)``,
-            bit-identical to packing :meth:`correction_bitmap`'s rows:
-            same-qubit contributions collapse by OR (set-union semantics).
+            uint64 correction planes of shape ``(num_data_qubits, words)``
+            in ``code.data_index`` plane order: trial ``t``'s bits are the
+            bitmap of :meth:`decide`'s ``correction`` set for its signature,
+            with same-qubit contributions collapsing by OR (set-union
+            semantics, matching the idempotent hardware OR).
         """
         tables = self._packed_tables()
         leaves = self._packed_leaves(signatures)

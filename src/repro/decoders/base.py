@@ -184,11 +184,10 @@ class Decoder(abc.ABC):
             histories: tensor of shape ``(trials, rounds, num_ancillas)``
                 (a single 2-D history is accepted as a batch of one).
 
-        The base implementation decodes trial by trial through :meth:`decode`
-        and repackages the results; decoders with a vectorised fast path (the
-        Clique hierarchy) override it.  Subclass overrides must stay
-        bit-identical to this reference semantics — the batched Monte-Carlo
-        engine's equivalence guarantee depends on it.
+        Decodes trial by trial through :meth:`decode` and repackages the
+        results — the per-trial reference semantics that every batched path
+        must reproduce.  Vectorised decoders override
+        :meth:`decode_batch_packed` instead.
         """
         batch = self._as_detection_batch(histories)
         trials = batch.shape[0]
@@ -246,10 +245,11 @@ class Decoder(abc.ABC):
 
         The base implementation unpacks, delegates to :meth:`decode_batch`,
         and re-packs the corrections — semantics, including RNG-free
-        tie-breaks, are therefore exactly :meth:`decode_batch`'s.  Decoders
-        with a native packed path (:class:`repro.clique.cascade.DecoderCascade`)
-        override it and must stay bit-identical to this reference; the packed
-        Monte-Carlo engine's equivalence guarantee depends on it.
+        tie-breaks, are therefore exactly per-trial :meth:`decode`'s.
+        Decoders with a native packed path
+        (:class:`repro.clique.cascade.DecoderCascade`) override it and must
+        stay bit-identical to per-trial decoding; the batch Monte-Carlo
+        engine's equivalence with the loop engine depends on it.
         """
         planes = self._as_packed_detection_batch(detections, trials)
         result = self.decode_batch(bitplane.unpack_trials(planes, trials))

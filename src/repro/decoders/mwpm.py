@@ -201,7 +201,7 @@ class MWPMDecoder(Decoder):
         """Decode one trial's detection events given as flat index arrays.
 
         This is the batched-fallback entry point used by
-        :meth:`repro.clique.hierarchical.HierarchicalDecoder.decode_batch`:
+        :meth:`repro.clique.cascade.DecoderCascade.decode_batch_packed`:
         the caller extracts all off-chip trials' events with a single
         ``np.nonzero`` pass and hands each trial's ``(rounds, ancillas)``
         slice here, skipping per-trial matrix validation, ``SpaceTimeEvent``

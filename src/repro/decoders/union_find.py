@@ -152,7 +152,7 @@ class ClusteringDecoder(Decoder):
         """Decode one trial's detection events given as flat index arrays.
 
         Batched-fallback entry point (see
-        :meth:`repro.clique.hierarchical.HierarchicalDecoder.decode_batch`).
+        :meth:`repro.clique.cascade.DecoderCascade.decode_batch_packed`).
         Events must arrive in row-major ``(round, ancilla)`` order — the
         order ``np.nonzero`` produces — so greedy pairing ties break exactly
         as in :meth:`decode`; the returned uint8 bitmap is then bit-identical

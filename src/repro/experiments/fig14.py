@@ -175,11 +175,7 @@ def _memory_point_config(
     defaults are resolved (rounds to the code distance, the sharded engine's
     chunk size to :data:`~repro.simulation.shard.DEFAULT_SHARD_TRIALS`) so
     implicit and explicit spellings key identically, and ``workers`` is
-    excluded because it never affects the counts.  ``packed`` is excluded
-    for the same reason: the bitplane hot path is bit-identical to the
-    unpacked one under the same seed, so a sweep computed either way is a
-    warm hit for the other (pinned in
-    ``tests/experiments/test_store_resume.py``).  Every excluded runner
+    excluded because it never affects the counts.  Every excluded runner
     keyword is listed, with its reason, in the central
     :data:`repro.store.keys.KEY_EXCLUDED`; lint rule ``KEY001`` enforces
     that this function and that list jointly cover the full
@@ -246,7 +242,6 @@ def run(
     force: bool = False,
     max_retries: int | None = None,
     shard_timeout: float | None = None,
-    packed: bool = True,
 ) -> ExperimentResult:
     """Reproduce the Fig. 14 comparison (baseline vs Clique + fallback).
 
@@ -311,10 +306,6 @@ def run(
         shard_timeout: wall-clock budget per shard attempt in seconds for
             the sharded engine; a hung worker pool is killed and the shard
             re-dispatched.  Rejected on non-sharded engines.
-        packed: run the batch/sharded engines on the uint64 bitplane hot
-            path (default; the CLI's ``--no-packed`` turns it off).
-            Bit-identical either way, so the flag is deliberately absent
-            from the store key.
     """
     budget, distances, engine = _resolve_scale(scale, trials, distances, engine)
     if target_ci_width is not None:
@@ -402,7 +393,6 @@ def run(
                                 if stop is not None
                                 else None
                             ),
-                            packed=packed,
                             decoder_name=decoder_label,
                             on_complete=_persist_hook(config, base_seed),
                         )
@@ -423,7 +413,6 @@ def run(
                         workers=workers,
                         chunk_trials=point_chunk,
                         faults=faults,
-                        packed=packed,
                     ),
                 )
 
@@ -499,7 +488,6 @@ def compare_fallbacks(
     fallback: str | None = None,
     tiers: str | tuple[str, ...] | None = None,
     escalation_cluster_size: "int | str" = "auto",
-    packed: bool = True,
 ) -> ExperimentResult:
     """Accuracy/throughput of the hierarchy's off-chip cascades side by side.
 
@@ -548,7 +536,6 @@ def compare_fallbacks(
                 decoder_name=_cascade_label(spec),
                 engine=engine,
                 workers=workers,
-                packed=packed,
             )
             elapsed = time.perf_counter() - start
             rows.append(

@@ -20,7 +20,7 @@ argument of :func:`run_memory_experiment`:
 
 * ``"loop"`` — the per-trial reference path below, kept as the correctness
   oracle;
-* ``"batch"`` (default) — the vectorised engine of
+* ``"batch"`` (default) — the vectorised uint64-bitplane engine of
   :mod:`repro.simulation.batch`, bit-identical to the loop under a fixed
   seed;
 * ``"sharded"`` — the multiprocess engine, which fans fixed-size shards of
@@ -206,7 +206,6 @@ def run_memory_experiment(
     faults: object | None = None,
     fault_report: object | None = None,
     fault_injector: object | None = None,
-    packed: bool = True,
 ) -> MemoryExperimentResult:
     """Estimate the logical error rate of a decoder with Monte-Carlo trials.
 
@@ -224,8 +223,8 @@ def run_memory_experiment(
         stype: which error species to track (the other is symmetric).
         rng: seed or generator (``"sharded"`` accepts only a seed).
         decoder_name: label for reports (defaults to the class name).
-        engine: ``"batch"`` (default) runs the vectorised engine of
-            :mod:`repro.simulation.batch`; ``"loop"`` runs the per-trial
+        engine: ``"batch"`` (default) runs the vectorised bitplane engine
+            of :mod:`repro.simulation.batch`; ``"loop"`` runs the per-trial
             reference path (both bit-identical under the same seed);
             ``"sharded"`` fans the trial budget over worker processes as a
             one-point :class:`~repro.simulation.scheduler.SweepScheduler`
@@ -256,13 +255,6 @@ def run_memory_experiment(
         fault_injector: optional :class:`repro.faults.FaultInjector`
             carrying a deterministic chaos plan (test mode); defaults to the
             ambient ``REPRO_FAULT_PLAN`` plan, if set.
-        packed: run the batched engines' hot path on uint64 bitplane kernels
-            (:mod:`repro.bitplane`) — the default.  ``packed=False`` is the
-            unpacked escape hatch (``--no-packed`` on the CLI); both paths
-            are bit-identical under the same seed, so this knob never changes
-            results, only throughput and peak memory.  The ``"loop"`` engine
-            decodes trial by trial and has no packed representation, so the
-            flag is accepted and ignored there.
     """
     if checkpoint is not None and adaptive is None:
         raise ConfigurationError(
@@ -305,7 +297,6 @@ def run_memory_experiment(
             chunk_trials=DEFAULT_SHARD_TRIALS if chunk_trials is None else chunk_trials,
             stop=adaptive,
             checkpoint=checkpoint,
-            packed=packed,
             decoder_name=decoder_name,
         )
         scheduler = SweepScheduler(
@@ -330,7 +321,6 @@ def run_memory_experiment(
             stype=stype,
             rng=rng,
             decoder_name=decoder_name,
-            packed=packed,
             **kwargs,
         )
     if engine != "loop":

@@ -413,7 +413,6 @@ def memory_point(
     chunk_trials: int = DEFAULT_SHARD_TRIALS,
     stop: WilsonStoppingRule | None = None,
     checkpoint: Any | None = None,
-    packed: bool = True,
     decoder_name: str | None = None,
     on_complete: Callable[[Any], None] | None = None,
 ) -> SweepPoint:
@@ -428,7 +427,7 @@ def memory_point(
     rounds = code.distance if rounds is None else rounds
     if rounds <= 0:
         raise ConfigurationError(f"rounds must be positive, got {rounds}")
-    kernel = MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed)
+    kernel = MemoryKernel(code, noise, decoder_factory, rounds, stype)
 
     def finalize(outcome: PointOutcome):
         from repro.simulation.memory import MemoryExperimentResult

@@ -358,11 +358,9 @@ class MemoryKernel:
     entries are per-cascade-tier count tuples, empty for flat decoders —
     merged with :func:`merge_memory_counts`.
 
-    ``packed`` selects the batch engine's uint64 bitplane hot path inside
-    each worker (default on).  Packed and unpacked shards are bit-identical
-    under the seeding contract — each shard replays the same
-    ``shard_rng(seed, index)`` stream either way — so the flag changes
-    neither the partial tuples nor the adaptive checkpoint layout.
+    Each shard runs the batch engine's uint64 bitplane pipeline on its own
+    ``shard_rng(seed, index)`` stream, so a shard's partial tuple equals the
+    loop engine's counts on that stream.
     """
 
     code: RotatedSurfaceCode
@@ -370,7 +368,6 @@ class MemoryKernel:
     decoder_factory: Callable[[RotatedSurfaceCode, StabilizerType], Decoder]
     rounds: int
     stype: StabilizerType
-    packed: bool = True
 
     def __call__(
         self, shard_trials: int, rng: np.random.Generator
@@ -385,7 +382,6 @@ class MemoryKernel:
             rounds=self.rounds,
             stype=self.stype,
             rng=rng,
-            packed=self.packed,
         )
         return (
             result.logical_failures,

@@ -331,7 +331,7 @@ class TestKey001StaleExclusions:
     def test_entry_naming_no_runner_keyword_is_flagged(self, scratch_tree):
         keys = scratch_tree / "store/keys.py"
         source = keys.read_text(encoding="utf-8")
-        anchor = '    "packed": '
+        anchor = '    "fault_injector": '
         assert anchor in source
         keys.write_text(
             source.replace(
@@ -348,16 +348,16 @@ class TestKey001StaleExclusions:
     def test_deleting_a_knob_leaves_its_entry_stale(self, scratch_tree):
         runner = scratch_tree / "simulation/memory.py"
         source = runner.read_text(encoding="utf-8")
-        assert "    packed: bool = True,\n) -> MemoryExperimentResult:" in source
+        last_param = (
+            "    fault_injector: object | None = None,\n) -> MemoryExperimentResult:"
+        )
+        assert last_param in source
         runner.write_text(
-            source.replace(
-                "    packed: bool = True,\n) -> MemoryExperimentResult:",
-                ") -> MemoryExperimentResult:",
-            ),
+            source.replace(last_param, ") -> MemoryExperimentResult:"),
             encoding="utf-8",
         )
         keys = scratch_tree / "store/keys.py"
         findings = lint_paths([keys, runner])
         assert [(f.rule, f.line) for f in findings] == [
-            ("KEY001", _line_of(keys, '    "packed": '))
+            ("KEY001", _line_of(keys, '    "fault_injector": '))
         ]

@@ -1,8 +1,8 @@
 """Tests for the N-tier decoder cascade (Clique -> ... -> final matcher).
 
 Covers the tier contract (escalation masks, construction validation), the
-bit-identity of the batched cascade path against the per-trial reference, and
-— the refactor's load-bearing guarantee — the two-tier alias's bit-identity
+bit-identity of the packed batch cascade path against the per-trial
+reference, and — the refactor's load-bearing guarantee — the two-tier alias's bit-identity
 with the *pre-refactor* ``HierarchicalDecoder`` under fixed seeds on all
 three Monte-Carlo engines, pinned against frozen seeded outputs.
 """
@@ -23,6 +23,8 @@ from repro.exceptions import ConfigurationError
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.memory import run_memory_experiment
 from repro.types import StabilizerType
+
+from batch_oracle import assert_same_decode, decode_packed, decode_per_trial
 
 THREE_TIER = ("clique", "union_find", "mwpm")
 
@@ -205,33 +207,21 @@ class TestEscalationMask:
 
 
 class TestBatchedCascadeBitIdentity:
-    """The batched cascade path must stay bit-identical to the per-trial
+    """The packed batch cascade path must stay bit-identical to the per-trial
     decode_history reference — including which tier resolves each trial."""
 
     @pytest.mark.parametrize("distance", [5, 7])
-    def test_three_tier_decode_batch_matches_decode_history(self, distance):
+    def test_three_tier_packed_decode_matches_decode_history(self, distance):
         code = get_code(distance)
         cascade = DecoderCascade(code, StabilizerType.X, tiers=THREE_TIER)
         width = _width(code)
-        data_index = code.data_index
         rng = np.random.default_rng(37)
         # Densities straddle the triage point so plenty of trials exercise
         # every tier boundary.
         for density in (0.05, 0.18):
             batch = (rng.random((40, distance + 1, width)) < density).astype(np.uint8)
-            result = cascade.decode_batch(batch)
-            tier_tally = np.zeros(cascade.num_tiers, dtype=np.int64)
-            for trial in range(batch.shape[0]):
-                reference = cascade.decode_history(batch[trial])
-                bitmap = np.zeros(code.num_data_qubits, dtype=np.uint8)
-                for qubit in reference.correction:
-                    bitmap[data_index[qubit]] ^= 1
-                assert np.array_equal(result.corrections[trial], bitmap)
-                assert result.onchip_rounds[trial] == (
-                    reference.num_rounds - reference.num_offchip_rounds
-                )
-                tier_tally[reference.handled_tier] += 1
-            assert np.array_equal(result.tier_trials, tier_tally)
+            result = decode_packed(cascade, batch)
+            assert_same_decode(result, decode_per_trial(cascade, batch))
             assert int(result.tier_trials.sum()) == batch.shape[0]
 
     def test_two_tier_cascade_matches_hierarchical_alias(self, code_d5):
@@ -239,18 +229,14 @@ class TestBatchedCascadeBitIdentity:
         alias = HierarchicalDecoder(code_d5, StabilizerType.X)
         rng = np.random.default_rng(41)
         batch = (rng.random((30, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        a = cascade.decode_batch(batch)
-        b = alias.decode_batch(batch)
-        assert np.array_equal(a.corrections, b.corrections)
-        assert np.array_equal(a.onchip_rounds, b.onchip_rounds)
-        assert np.array_equal(a.tier_trials, b.tier_trials)
-        assert np.array_equal(a.tier_rounds, b.tier_rounds)
+        assert_same_decode(decode_packed(cascade, batch), decode_packed(alias, batch))
 
     def test_tier_rounds_accounting(self, code_d5):
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
         rng = np.random.default_rng(43)
         batch = (rng.random((40, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        result = cascade.decode_batch(batch)
+        result = decode_packed(cascade, batch)
+        assert_same_decode(result, decode_per_trial(cascade, batch))
         total_rounds = int(result.total_rounds.sum())
         onchip_rounds = int(result.onchip_rounds.sum())
         assert result.tier_rounds[0] == onchip_rounds

@@ -9,6 +9,8 @@ from repro.clique.hierarchical import HierarchicalDecoder
 from repro.decoders.mwpm import MWPMDecoder
 from repro.types import Coord, DecodeLocation, StabilizerType
 
+from batch_oracle import assert_same_decode, decode_packed, decode_per_trial
+
 
 @pytest.fixture(scope="module")
 def hierarchical_d5():
@@ -213,33 +215,26 @@ class TestNamedFallbacks:
 
 
 class TestBatchedFallbackBitIdentity:
-    """decode_batch routes off-chip trials through the batched fallback; it
-    must stay bit-identical to the per-trial decode_history reference."""
+    """decode_batch_packed routes off-chip trials through the batched
+    fallback; it must stay bit-identical to the per-trial decode_history
+    reference."""
 
     @pytest.mark.parametrize("distance", [5, 7])
     @pytest.mark.parametrize("fallback", ["mwpm", "union_find"])
-    def test_decode_batch_matches_decode_history(self, distance, fallback):
+    def test_packed_decode_matches_decode_history(self, distance, fallback):
         from repro.codes.rotated_surface import get_code
 
         code = get_code(distance)
         decoder = HierarchicalDecoder(code, StabilizerType.X, fallback=fallback)
         width = _width(code)
-        data_index = code.data_index
         rng = np.random.default_rng(29)
         # Densities straddle the on-chip/off-chip triage point so plenty of
         # trials exercise the batched fallback.
         for density in (0.05, 0.18):
             batch = (rng.random((40, distance + 1, width)) < density).astype(np.uint8)
-            result = decoder.decode_batch(batch)
-            for trial in range(batch.shape[0]):
-                reference = decoder.decode_history(batch[trial])
-                bitmap = np.zeros(code.num_data_qubits, dtype=np.uint8)
-                for qubit in reference.correction:
-                    bitmap[data_index[qubit]] ^= 1
-                assert np.array_equal(result.corrections[trial], bitmap)
-                assert result.onchip_rounds[trial] == (
-                    reference.num_rounds - reference.num_offchip_rounds
-                )
+            assert_same_decode(
+                decode_packed(decoder, batch), decode_per_trial(decoder, batch)
+            )
 
     def test_generic_fallback_without_bitmap_hook_still_matches(self, code_d5):
         # A fallback that only implements decode() exercises the per-trial
@@ -252,7 +247,4 @@ class TestBatchedFallbackBitIdentity:
         via_batched = HierarchicalDecoder(code_d5, StabilizerType.X)
         rng = np.random.default_rng(31)
         batch = (rng.random((30, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        a = via_plain.decode_batch(batch)
-        b = via_batched.decode_batch(batch)
-        assert np.array_equal(a.corrections, b.corrections)
-        assert np.array_equal(a.onchip_rounds, b.onchip_rounds)
+        assert_same_decode(decode_packed(via_plain, batch), decode_packed(via_batched, batch))

@@ -112,28 +112,6 @@ class TestFig14KilledSweepResume:
         assert len(calls) == FIG14_POINTS
 
 
-class TestPackedStoreCompatibility:
-    def test_unpacked_sweep_is_a_warm_hit_for_packed_rerun(
-        self, tmp_path, monkeypatch
-    ):
-        # ``packed`` selects an execution strategy, not a result: like
-        # ``workers`` it is excluded from store keys (and results are
-        # bit-identical either way), so a sweep computed unpacked must be a
-        # fully-warm hit when re-run packed — zero scheduled points,
-        # identical rows.
-        store_dir = tmp_path / "store"
-        cold = run_experiment(
-            "fig14", store=str(store_dir), packed=False, **FIG14_PARAMS
-        )
-        calls = _counting(monkeypatch, fig14_module, "memory_point")
-        warm = run_experiment(
-            "fig14", store=str(store_dir), packed=True, **FIG14_PARAMS
-        )
-        assert calls == []
-        assert warm.rows == cold.rows
-        assert warm.format_table() == cold.format_table()
-
-
 class TestFig11WarmRerun:
     def test_warm_rerun_is_byte_identical_with_zero_kernel_calls(
         self, tmp_path, monkeypatch

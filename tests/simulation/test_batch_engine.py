@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import bitplane
 from repro.clique.hierarchical import HierarchicalDecoder
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
@@ -20,6 +21,8 @@ from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.batch import logical_support_bitmap, run_memory_experiment_batch
 from repro.simulation.memory import run_memory_experiment
 from repro.types import StabilizerType
+
+from batch_oracle import assert_same_decode, decode_packed, decode_per_trial
 
 
 def _hierarchical(code, stype):
@@ -82,24 +85,15 @@ class TestEngineEquivalence:
 
 
 class TestDecodeBatch:
-    def test_hierarchical_decode_batch_matches_decode_history(self, code_d5):
+    def test_hierarchical_packed_decode_matches_decode_history(self, code_d5):
         decoder = HierarchicalDecoder(code_d5, StabilizerType.X)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
-        data_index = code_d5.data_index
         rng = np.random.default_rng(11)
         for density in (0.03, 0.15):
             batch = (rng.random((60, 6, width)) < density).astype(np.uint8)
-            result = decoder.decode_batch(batch)
-            for trial in range(batch.shape[0]):
-                reference = decoder.decode_history(batch[trial])
-                bitmap = np.zeros(code_d5.num_data_qubits, dtype=np.uint8)
-                for qubit in reference.correction:
-                    bitmap[data_index[qubit]] ^= 1
-                assert np.array_equal(result.corrections[trial], bitmap)
-                assert result.onchip_rounds[trial] == (
-                    reference.num_rounds - reference.num_offchip_rounds
-                )
-                assert result.total_rounds[trial] == reference.num_rounds
+            assert_same_decode(
+                decode_packed(decoder, batch), decode_per_trial(decoder, batch)
+            )
 
     def test_default_decode_batch_matches_per_trial_decode(self, code_d3):
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
@@ -134,22 +128,59 @@ class TestDecodeBatch:
             decoder.decode_batch(np.zeros((2, 3, 99), dtype=np.uint8))
 
 
-class TestCorrectionBitmap:
-    def test_matches_decide_on_trivial_signatures(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X).clique
-        width = code_d5.num_ancillas_of_type(StabilizerType.X)
-        data_index = code_d5.data_index
-        rng = np.random.default_rng(21)
-        signatures = (rng.random((300, width)) < 0.12).astype(np.uint8)
+def _clique_signatures(distance):
+    """Random signatures plus every single-ancilla signature, ragged count.
+
+    The single-ancilla rows put each boundary clique in its lone-boundary
+    case (active, no set leaf: trivial) and each interior clique in the
+    even-leaf case (complex).
+    """
+    code = get_code(distance)
+    decoder = HierarchicalDecoder(code, StabilizerType.X).clique
+    width = code.num_ancillas_of_type(StabilizerType.X)
+    rng = np.random.default_rng(21 + distance)
+    random_rows = (rng.random((131, width)) < 0.12).astype(np.uint8)
+    signatures = np.concatenate([random_rows, np.eye(width, dtype=np.uint8)])
+    assert signatures.shape[0] % bitplane.WORD_BITS, "sanity: ragged last word"
+    return code, decoder, signatures
+
+
+class TestPackedCliqueHelpers:
+    @pytest.mark.parametrize("distance", [3, 5, 7])
+    def test_complex_any_packed_negates_is_trivial_batch(self, distance):
+        _, decoder, signatures = _clique_signatures(distance)
+        trials = signatures.shape[0]
         trivial = decoder.is_trivial_batch(signatures)
-        assert trivial.any(), "sanity: some sampled signatures must be trivial"
-        bitmaps = decoder.correction_bitmap(signatures[trivial])
-        for row, signature in zip(bitmaps, signatures[trivial]):
-            decision = decoder.decide(signature)
-            assert decision.is_trivial
-            expected = np.zeros(code_d5.num_data_qubits, dtype=np.uint8)
-            for qubit in decision.correction:
-                expected[data_index[qubit]] = 1
+        assert trivial.any() and not trivial.all()
+        complex_word = decoder.complex_any_packed(bitplane.pack_trials(signatures))
+        assert np.array_equal(
+            bitplane.unpack_trials(complex_word, trials).astype(bool), ~trivial
+        )
+        assert not np.any(complex_word & ~bitplane.trial_mask_words(trials))
+
+    @pytest.mark.parametrize("distance", [3, 5, 7])
+    def test_correction_planes_packed_match_decide(self, distance):
+        code, decoder, signatures = _clique_signatures(distance)
+        trials = signatures.shape[0]
+        data_index = code.data_index
+        trivial = decoder.is_trivial_batch(signatures)
+        boundary = np.zeros(len(decoder.cliques), dtype=bool)
+        for clique in decoder.cliques:
+            boundary[clique.ancilla_index] = clique.has_boundary
+        lone_boundary = trivial[-boundary.size:] & boundary
+        assert lone_boundary.any(), "sanity: boundary cliques must be exercised"
+        # Callers mask complex trials out of the signature planes first.
+        planes = bitplane.pack_trials(signatures * trivial[:, None].astype(np.uint8))
+        corrections = bitplane.unpack_trials(
+            decoder.correction_planes_packed(planes), trials
+        )
+        for row, signature, is_trivial in zip(corrections, signatures, trivial):
+            expected = np.zeros(code.num_data_qubits, dtype=np.uint8)
+            if is_trivial:
+                decision = decoder.decide(signature)
+                assert decision.is_trivial
+                for qubit in decision.correction:
+                    expected[data_index[qubit]] = 1
             assert np.array_equal(row, expected)
 
 

@@ -1,12 +1,12 @@
 """Packed-engine equivalence and allocation-discipline tests.
 
-The packed Monte-Carlo path promises *bit-identity* with the unpacked
-reference under a fixed seed — not statistical agreement.  These tests pin
-that promise across engines (batch, sharded), decoder shapes (two- and
+The packed Monte-Carlo path promises *bit-identity* with the per-trial
+``loop`` oracle under a fixed seed — not statistical agreement.  These tests
+pin that promise across engines (batch, sharded), decoder shapes (two- and
 three-tier cascades, flat MWPM through the base ``decode_batch_packed``
 fallback), ragged trial counts, chunking choices, and noise-model
-subclasses.  The allocation tests pin the satellite dtype-discipline work:
-one canonical dtype per pipeline stage and a bounded per-chunk working set.
+subclasses.  The allocation tests pin the dtype discipline: the decoder sees
+uint64 planes, and the per-chunk working set stays bounded.
 """
 
 from __future__ import annotations
@@ -20,12 +20,16 @@ from repro import bitplane
 from repro.clique.cascade import DecoderCascade
 from repro.clique.hierarchical import HierarchicalDecoder
 from repro.codes.rotated_surface import get_code
-from repro.decoders.base import BatchDecodeResult, Decoder, DecodeResult, PackedBatchDecodeResult
+from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
 from repro.decoders.mwpm import MWPMDecoder
 from repro.noise.models import PhenomenologicalNoise
+from repro.noise.rng import shard_rng
 from repro.simulation.batch import run_memory_experiment_batch
 from repro.simulation.memory import run_memory_experiment
+from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
+
+from batch_oracle import assert_same_decode, decode_packed, decode_per_trial
 
 
 def _hierarchical(code, stype):
@@ -65,18 +69,10 @@ class TestPackedEquivalence:
         [_hierarchical, _CascadeFactory(("clique", "union_find", "mwpm")), _mwpm],
         ids=["two-tier", "three-tier", "flat-mwpm"],
     )
-    def test_packed_matches_unpacked_and_loop(
-        self, distance, trials, error_rate, factory
-    ):
+    def test_packed_matches_loop(self, distance, trials, error_rate, factory):
         code = get_code(distance)
         noise = PhenomenologicalNoise(error_rate)
-        packed = run_memory_experiment_batch(
-            code, noise, factory, trials=trials, rng=42, packed=True
-        )
-        unpacked = run_memory_experiment_batch(
-            code, noise, factory, trials=trials, rng=42, packed=False
-        )
-        _assert_results_identical(packed, unpacked)
+        packed = run_memory_experiment_batch(code, noise, factory, trials=trials, rng=42)
         loop = run_memory_experiment(
             code, noise, factory, trials=trials, rng=42, engine="loop"
         )
@@ -86,23 +82,22 @@ class TestPackedEquivalence:
     def test_ragged_trial_counts_stay_bit_identical(self, code_d5, trials):
         noise = PhenomenologicalNoise(2e-2)
         packed = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=trials, rng=7, packed=True
+            code_d5, noise, _hierarchical, trials=trials, rng=7
         )
-        unpacked = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=trials, rng=7, packed=False
+        loop = run_memory_experiment(
+            code_d5, noise, _hierarchical, trials=trials, rng=7, engine="loop"
         )
-        _assert_results_identical(packed, unpacked)
+        _assert_results_identical(packed, loop)
 
     def test_packed_chunking_preserves_the_rng_stream(self, code_d5):
         noise = PhenomenologicalNoise(1e-2)
-        whole = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=100, rng=5, packed=True
-        )
         chunked = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=100, rng=5, packed=True,
-            chunk_trials=7,
+            code_d5, noise, _hierarchical, trials=100, rng=5, chunk_trials=7
         )
-        _assert_results_identical(whole, chunked)
+        loop = run_memory_experiment(
+            code_d5, noise, _hierarchical, trials=100, rng=5, engine="loop"
+        )
+        _assert_results_identical(chunked, loop)
 
     @pytest.mark.parametrize(
         "factory",
@@ -110,31 +105,45 @@ class TestPackedEquivalence:
          _CascadeFactory(("clique", "union_find", "mwpm"))],
         ids=["two-tier", "three-tier"],
     )
-    def test_sharded_engine_is_bit_identical_packed_vs_unpacked(self, factory):
+    def test_sharded_engine_is_the_merge_of_loop_runs_per_shard(self, factory):
+        # Each shard consumes its own shard_rng(seed, index) stream, so the
+        # sharded result must equal the loop oracle run shard by shard on
+        # those streams and summed.
         code = get_code(5)
         noise = PhenomenologicalNoise(1e-2)
-        packed = run_memory_experiment(
+        sharded = run_memory_experiment(
             code, noise, factory, trials=130, rng=13, chunk_trials=50,
-            workers=1, packed=True, engine="sharded",
+            workers=1, engine="sharded",
         )
-        unpacked = run_memory_experiment(
-            code, noise, factory, trials=130, rng=13, chunk_trials=50,
-            workers=1, packed=False, engine="sharded",
-        )
-        _assert_results_identical(packed, unpacked)
+        shards = [
+            run_memory_experiment(
+                code, noise, factory, trials=size, rng=shard_rng(13, index),
+                engine="loop",
+            )
+            for index, size in enumerate(plan_shards(130, 50))
+        ]
+        assert len(shards) == 3
+        assert sharded.trials == sum(shard.trials for shard in shards)
+        assert sharded.logical_failures == sum(s.logical_failures for s in shards)
+        assert sharded.onchip_rounds == sum(shard.onchip_rounds for shard in shards)
+        assert sharded.total_rounds == sum(shard.total_rounds for shard in shards)
+        assert sharded.tier_names == shards[0].tier_names
+        assert sharded.decoder_name == shards[0].decoder_name
+        assert sharded.tier_trials == tuple(map(sum, zip(*(s.tier_trials for s in shards))))
+        assert sharded.tier_rounds == tuple(map(sum, zip(*(s.tier_rounds for s in shards))))
 
-    def test_memory_experiment_front_door_forwards_packed(self, code_d5):
+    def test_memory_experiment_front_door_matches_loop(self, code_d5):
         noise = PhenomenologicalNoise(2e-2)
         default = run_memory_experiment(code_d5, noise, _hierarchical, trials=90, rng=3)
-        escape = run_memory_experiment(
-            code_d5, noise, _hierarchical, trials=90, rng=3, packed=False
+        loop = run_memory_experiment(
+            code_d5, noise, _hierarchical, trials=90, rng=3, engine="loop"
         )
-        _assert_results_identical(default, escape)
+        _assert_results_identical(default, loop)
 
     def test_noise_subclass_override_falls_back_bit_identically(self, code_d5):
         # Custom physics (an overridden per-vector sampler) must flow through
         # the sample_history fallback + pack, keeping the packed engine on
-        # the exact RNG stream the unpacked engine consumes.
+        # the exact RNG stream the loop engine consumes.
         class BurstNoise(PhenomenologicalNoise):
             def sample_data_vector(self, code, rng):
                 vector = super().sample_data_vector(code, rng)
@@ -144,12 +153,12 @@ class TestPackedEquivalence:
 
         noise = BurstNoise(2e-2)
         packed = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=120, rng=31, packed=True
+            code_d5, noise, _hierarchical, trials=120, rng=31
         )
-        unpacked = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=120, rng=31, packed=False
+        loop = run_memory_experiment(
+            code_d5, noise, _hierarchical, trials=120, rng=31, engine="loop"
         )
-        _assert_results_identical(packed, unpacked)
+        _assert_results_identical(packed, loop)
 
     def test_packed_sampler_matches_packed_reference(self, code_d5):
         noise = PhenomenologicalNoise(0.05, 0.02)
@@ -169,36 +178,22 @@ class TestDecodeBatchPacked:
         ids=["two-tier", "three-tier"],
     )
     @pytest.mark.parametrize("density", [0.03, 0.15])
-    def test_cascade_packed_decode_matches_unpacked(self, code_d5, tiers, density):
+    def test_cascade_packed_decode_matches_decode_history(
+        self, code_d5, tiers, density
+    ):
         decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=tiers)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         rng = np.random.default_rng(11)
         trials = 70  # ragged last word
         batch = (rng.random((trials, 6, width)) < density).astype(np.uint8)
-
-        reference = decoder.decode_batch(batch)
-        packed = decoder.decode_batch_packed(bitplane.pack_trials(batch), trials)
-        assert isinstance(packed, PackedBatchDecodeResult)
-        assert packed.num_trials == trials
-        assert np.array_equal(
-            bitplane.unpack_trials(packed.corrections, trials),
-            reference.corrections,
-        )
-        assert np.array_equal(packed.onchip_rounds, reference.onchip_rounds)
-        assert np.array_equal(packed.total_rounds, reference.total_rounds)
-        assert np.array_equal(packed.tier_trials, reference.tier_trials)
-        assert np.array_equal(packed.tier_rounds, reference.tier_rounds)
+        assert_same_decode(decode_packed(decoder, batch), decode_per_trial(decoder, batch))
 
     def test_base_fallback_matches_decode_batch(self, code_d3):
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
         width = code_d3.num_ancillas_of_type(StabilizerType.X)
         rng = np.random.default_rng(3)
         batch = (rng.random((25, 4, width)) < 0.2).astype(np.uint8)
-        reference = decoder.decode_batch(batch)
-        packed = decoder.decode_batch_packed(bitplane.pack_trials(batch), 25)
-        assert np.array_equal(
-            bitplane.unpack_trials(packed.corrections, 25), reference.corrections
-        )
+        assert_same_decode(decode_packed(decoder, batch), decoder.decode_batch(batch))
 
     def test_packed_corrections_keep_padding_bits_zero(self, code_d5):
         decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm"))
@@ -229,7 +224,7 @@ class TestDecodeBatchPacked:
 
 
 class _ProbeDecoder(Decoder):
-    """Records exactly what dtype/layout each engine hands the decoder."""
+    """Records exactly what dtype/layout the batch engine hands the decoder."""
 
     def __init__(self, code, stype):
         super().__init__(code, stype)
@@ -238,18 +233,9 @@ class _ProbeDecoder(Decoder):
     def decode(self, detections):  # pragma: no cover - not reached
         return DecodeResult()
 
-    def decode_batch(self, histories):
-        self.seen.append(("unpacked", histories.dtype, histories.ndim))
-        trials = histories.shape[0]
-        return BatchDecodeResult(
-            corrections=np.zeros((trials, self._code.num_data_qubits), dtype=np.uint8),
-            onchip_rounds=np.zeros(trials, dtype=np.int64),
-            total_rounds=np.zeros(trials, dtype=np.int64),
-        )
-
     def decode_batch_packed(self, detections, trials):
         planes = self._as_packed_detection_batch(detections, trials)
-        self.seen.append(("packed", planes.dtype, planes.ndim))
+        self.seen.append((planes.dtype, planes.ndim))
         return PackedBatchDecodeResult(
             corrections=np.zeros(
                 (self._code.num_data_qubits, bitplane.num_words(trials)),
@@ -262,9 +248,9 @@ class _ProbeDecoder(Decoder):
 
 
 class TestAllocationDiscipline:
-    """Satellite: one canonical dtype per stage, bounded working set."""
+    """One canonical dtype per stage, bounded working set."""
 
-    def test_engines_hand_the_decoder_canonical_dtypes(self, code_d5):
+    def test_engine_hands_the_decoder_uint64_planes(self, code_d5):
         noise = PhenomenologicalNoise(1e-2)
         probes = []
 
@@ -273,22 +259,15 @@ class TestAllocationDiscipline:
             probes.append(probe)
             return probe
 
-        run_memory_experiment_batch(
-            code_d5, noise, factory, trials=70, rng=1, packed=False
-        )
-        run_memory_experiment_batch(
-            code_d5, noise, factory, trials=70, rng=1, packed=True
-        )
-        assert probes[0].seen == [("unpacked", np.dtype(np.uint8), 3)]
-        assert probes[1].seen == [("packed", np.dtype(np.uint64), 3)]
+        run_memory_experiment_batch(code_d5, noise, factory, trials=70, rng=1)
+        assert probes[0].seen == [(np.dtype(np.uint64), 3)]
 
     def test_per_chunk_working_set_is_bounded(self):
         # entries = trials * rounds * (data + ancilla) bits flowing through
-        # one chunk.  The dtype-disciplined unpacked pipeline peaks under
-        # 12 bytes/entry (the pre-cleanup engine churned ~20 via redundant
-        # int64/astype copies); the packed pipeline holds word-packed planes
-        # plus the 64-trial float64 sampling tile, well under a quarter of
-        # the unpacked peak.
+        # one chunk.  The packed pipeline holds word-packed planes plus the
+        # 64-trial float64 sampling tile: about 0.74 bytes/entry at d=7.  The
+        # bound is the quarter of the retired uint8 pipeline's measured
+        # 9.79 bytes/entry that this test used to compare against.
         code = get_code(7)
         noise = PhenomenologicalNoise(1e-3)
         trials, rounds = 4096, 7
@@ -296,20 +275,15 @@ class TestAllocationDiscipline:
             code.num_data_qubits + code.num_ancillas_of_type(StabilizerType.X)
         )
 
-        def _peak(packed):
-            run_memory_experiment_batch(  # warm-up: imports, lazy tables
-                code, noise, _hierarchical, trials=64, rng=0, packed=packed
-            )
-            tracemalloc.start()
+        def run():
             run_memory_experiment_batch(
                 code, noise, _hierarchical, trials=trials, rounds=rounds,
-                rng=0, chunk_trials=trials, packed=packed,
+                rng=0, chunk_trials=trials,
             )
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return peak
 
-        unpacked_peak = _peak(packed=False)
-        packed_peak = _peak(packed=True)
-        assert unpacked_peak <= 12 * entries
-        assert packed_peak <= unpacked_peak / 4
+        run()  # warm-up: imports and lazily built tables and caches
+        tracemalloc.start()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 2.4 * entries

@@ -309,32 +309,6 @@ class TestCascadeTiersCli:
         assert "mutually exclusive" in capsys.readouterr().err
 
 
-class TestPackedCli:
-    FIG14_ARGS = [
-        "fig14",
-        "--param",
-        "trials=80",
-        "--param",
-        "distances=5,",
-        "--param",
-        "error_rates=1e-2,",
-    ]
-
-    def _run(self, extra, capsys):
-        assert main(self.FIG14_ARGS + extra) == 0
-        return capsys.readouterr().out
-
-    def test_no_packed_flag_is_byte_identical(self, capsys):
-        # The packed kernels' hard invariant, through the real CLI: the
-        # default (packed) sweep and the --no-packed escape hatch print
-        # byte-identical tables — which also pins that the flag is actually
-        # forwarded into the experiment runner.
-        packed = self._run([], capsys)
-        unpacked = self._run(["--no-packed"], capsys)
-        assert packed == unpacked
-        assert "logical_error_rate" in packed
-
-
 class TestStoreCompactCli:
     FIG11_ARGS = [
         "fig11",

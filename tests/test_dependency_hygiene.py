@@ -47,6 +47,7 @@ sys.meta_path.insert(0, _Banned())
 
 import numpy as np
 
+from repro import bitplane
 from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
@@ -68,7 +69,7 @@ cascade = DecoderCascade(
     code, StabilizerType.X, tiers=("clique", "union_find", "mwpm")
 )
 batch = (rng.random((30, 6, width)) < 0.2).astype(np.uint8)
-cascade.decode_batch(batch)
+cascade.decode_batch_packed(bitplane.pack_trials(batch), 30)
 
 print("OK")
 """

@@ -78,7 +78,6 @@ import numpy as np
 import pytest
 
 from repro.clique.cascade import DecoderCascade
-from repro.clique.hierarchical import HierarchicalDecoder
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.experiments.fig14 import PAPER_TRIAL_BUDGETS
@@ -195,20 +194,10 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-class _Hierarchical:
-    """Picklable factory (sharded workers rebuild the decoder per shard)."""
-
-    def __init__(self, fallback: str = "mwpm") -> None:
-        self.fallback = fallback
-
-    def __call__(self, code, stype):
-        return HierarchicalDecoder(code, stype, fallback=self.fallback)
-
-
 class _Cascade:
-    """Picklable N-tier cascade factory."""
+    """Picklable cascade factory (sharded workers rebuild the decoder per shard)."""
 
-    def __init__(self, tiers) -> None:
+    def __init__(self, tiers=("clique", "mwpm")) -> None:
         self.tiers = tuple(tiers)
 
     def __call__(self, code, stype):
@@ -218,7 +207,7 @@ class _Cascade:
 def _time_run(distance: int, trials: int, engine: str, **kwargs) -> dict:
     code = get_code(distance)
     noise = PhenomenologicalNoise(ERROR_RATE)
-    factory = kwargs.pop("factory", None) or _Hierarchical()
+    factory = kwargs.pop("factory", None) or _Cascade()
     start = time.perf_counter()
     result = run_memory_experiment(
         code, noise, factory, trials=trials, rng=SEED, engine=engine, **kwargs
@@ -243,7 +232,7 @@ def test_engine_and_fallback_throughput_bench_record():
         run_memory_experiment(
             get_code(distance),
             PhenomenologicalNoise(ERROR_RATE),
-            _Hierarchical(),
+            _Cascade(),
             trials=10,
             rng=1,
         )
@@ -259,7 +248,7 @@ def test_engine_and_fallback_throughput_bench_record():
     # --- fallbacks: MWPM vs union-find through the batch engine -----------
     fallback_runs = []
     for fallback in ("mwpm", "union_find"):
-        run = _time_run(DISTANCE, TRIALS, "batch", factory=_Hierarchical(fallback))
+        run = _time_run(DISTANCE, TRIALS, "batch", factory=_Cascade(("clique", fallback)))
         run["fallback"] = fallback
         fallback_runs.append(run)
 
@@ -303,7 +292,7 @@ def test_engine_and_fallback_throughput_bench_record():
     fixed = run_memory_experiment(
         get_code(DISTANCE),
         PhenomenologicalNoise(ERROR_RATE),
-        _Hierarchical(),
+        _Cascade(),
         trials=fixed_budget,
         rng=SEED,
         engine="sharded",
@@ -312,7 +301,7 @@ def test_engine_and_fallback_throughput_bench_record():
     adaptive = run_memory_experiment(
         get_code(DISTANCE),
         PhenomenologicalNoise(ERROR_RATE),
-        _Hierarchical(),
+        _Cascade(),
         trials=fixed_budget,
         rng=SEED,
         engine="sharded",
@@ -373,23 +362,23 @@ def test_engine_and_fallback_throughput_bench_record():
         code = get_code(distance)
         noise = PhenomenologicalNoise(PACKED_ERROR_RATE)
         run_memory_experiment(  # warm-up: per-distance decoder tables
-            code, noise, _Hierarchical(), trials=64, rng=1
+            code, noise, _Cascade(), trials=64, rng=1
         )
         elapsed = float("inf")
         for _ in range(PACKED_TIMING_REPEATS):
             start = time.perf_counter()
             result = run_memory_experiment(
-                code, noise, _Hierarchical(), trials=trials, rng=SEED, engine="batch"
+                code, noise, _Cascade(), trials=trials, rng=SEED, engine="batch"
             )
             elapsed = min(elapsed, time.perf_counter() - start)
         tracemalloc.start()
         run_memory_experiment(
-            code, noise, _Hierarchical(), trials=trials, rng=SEED, engine="batch"
+            code, noise, _Cascade(), trials=trials, rng=SEED, engine="batch"
         )
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         loop = run_memory_experiment(
-            code, noise, _Hierarchical(), trials=trials, rng=SEED, engine="loop"
+            code, noise, _Cascade(), trials=trials, rng=SEED, engine="loop"
         )
         entries = min(trials, DEFAULT_CHUNK_TRIALS) * distance * (
             code.num_data_qubits + code.num_ancillas_of_type(StabilizerType.X)
@@ -557,7 +546,7 @@ def test_engine_and_fallback_throughput_bench_record():
         result = run_memory_experiment(
             get_code(DISTANCE),
             PhenomenologicalNoise(ERROR_RATE),
-            _Hierarchical(),
+            _Cascade(),
             trials=FAULTS_TRIALS,
             rng=SEED,
             engine="sharded",
@@ -663,7 +652,7 @@ def test_engine_and_fallback_throughput_bench_record():
 
     # --- scheduler: persistent-pool sweep (schema v10) -------------------
     run_memory_experiment(  # warm-up: d=3 decoder tables for the workers=1 side
-        get_code(3), PhenomenologicalNoise(ERROR_RATE), _Hierarchical(),
+        get_code(3), PhenomenologicalNoise(ERROR_RATE), _Cascade(),
         trials=10, rng=1,
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    HierarchicalDecoder,
+    DecoderCascade,
     PhenomenologicalNoise,
     RotatedSurfaceCode,
     StabilizerType,
@@ -30,7 +30,7 @@ def main() -> None:
 
     code = RotatedSurfaceCode(distance)
     noise = PhenomenologicalNoise(physical_error_rate)
-    decoder = HierarchicalDecoder(code, StabilizerType.X)
+    decoder = DecoderCascade(code, StabilizerType.X)  # tiers=("clique", "mwpm")
     rng = np.random.default_rng(7)
 
     print(f"Rotated surface code d={distance}: {code.num_data_qubits} data qubits, "

@@ -10,7 +10,7 @@ Examples:
     repro-qec run fig14 --scale paper --workers 8
     repro-qec fig11 --workers 4 --chunk-cycles auto
     repro-qec fig14 --scale paper --adaptive --target-ci-width 0.02
-    repro-qec run fig14 --fallback union_find
+    repro-qec run fig14 --tiers clique,union_find
     repro-qec run fig14 --tiers clique,union_find,mwpm
     repro-qec run fig14_fallbacks --param trials=300
     repro-qec fig14_fallbacks --tiers clique,union_find,mwpm --param distances=9,
@@ -34,10 +34,10 @@ The coverage experiments (fig11/fig12/fig16) shard the same way under
 points to Wilson-converged adaptive sampling, and ``--adaptive`` does the
 same for fig14's logical-error-rate points (budget-capped by the scale's
 trial budgets).  ``--scale paper`` extends fig14 to the paper's d=3–11 grid
-with per-distance trial budgets; ``--fallback`` picks the hierarchy's
-off-chip decoder, and ``--tiers`` generalises it to a full N-tier decoder
-cascade spec (``clique,union_find,mwpm`` runs MWPM only on the union-find
-tier's disagreement set — see README.md → "Decoder cascades").  ``--store
+with per-distance trial budgets; ``--tiers`` picks the decoder cascade
+(default ``clique,mwpm``; ``clique,union_find`` swaps the off-chip decoder,
+and ``clique,union_find,mwpm`` runs MWPM only on the union-find tier's
+disagreement set — see README.md → "Decoder cascades").  ``--store
 DIR`` persists every sweep point of the fig11/fig12/fig14/fig16 sweeps as it
 completes and makes re-runs resume (``--resume``, the default) or recompute
 (``--force``); ``store compact DIR`` garbage-collects a long-lived store
@@ -237,24 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--fallback",
-        default=None,
-        metavar="NAME",
-        help=(
-            "off-chip fallback for the two-tier Clique hierarchy "
-            "(fig14/fig14_fallbacks): 'mwpm' (blossom, default) or "
-            "'union_find' (near-linear clustering)"
-        ),
-    )
-    run_parser.add_argument(
         "--tiers",
         default=None,
         metavar="T0,T1,...",
         help=(
-            "full decoder-cascade spec for fig14/fig14_fallbacks, "
-            "generalising --fallback: comma-separated tier names starting "
-            "with 'clique', e.g. 'clique,union_find,mwpm' (MWPM decodes only "
-            "the union-find tier's disagreement set)"
+            "decoder-cascade spec for fig14/fig14_fallbacks: comma-separated "
+            "tier names starting with 'clique' (default 'clique,mwpm'), e.g. "
+            "'clique,union_find' (near-linear clustering off-chip) or "
+            "'clique,union_find,mwpm' (MWPM decodes only the union-find "
+            "tier's disagreement set)"
         ),
     )
     run_parser.add_argument(
@@ -415,13 +406,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run":
         if args.force and args.store is None:
             parser.error("--force is only meaningful with --store DIR")
-        if args.tiers is not None and args.fallback is not None:
-            parser.error("--tiers and --fallback are mutually exclusive")
         params = dict(args.param)
         for flag in (
             "engine",
             "workers",
-            "fallback",
             "tiers",
             "escalation_cluster_size",
             "scale",

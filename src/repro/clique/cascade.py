@@ -23,8 +23,9 @@ Tier contract
   declines — ``escalated`` is a sorted int64 array of positions into the
   input arrays (empty when fully resolved).  Escalation is per cluster, not
   per trial: only the members of each oversized cluster travel to the next
-  tier.  The PR 5 all-or-nothing form — ``(bitmap | None, bool)`` — is still
-  accepted from custom decoder instances and normalised by the cascade.
+  tier.  Any other ``escalated`` (a bool, a scalar, a 2-D array) is
+  rejected with a :class:`~repro.exceptions.ConfigurationError` naming the
+  tier.
 * Tier ``N`` (final) must resolve everything it receives, through
   ``decode_events_bitmap(rounds, ancillas)`` when available (MWPM,
   clustering) or a per-trial ``decode`` call on the escalated events'
@@ -39,9 +40,9 @@ distinct detection rounds actually shipped *into* tier ``k`` (the off-chip
 bandwidth figure): per-cluster escalation shrinks deeper tiers' share even
 when a trial technically escalates.
 
-:class:`repro.clique.hierarchical.HierarchicalDecoder` is the two-tier alias
-of this class and stays bit-compatible with the pre-cascade implementation;
-the equivalence is pinned against frozen seeded outputs in
+The default two-tier cascade (``tiers=("clique", "mwpm")``) is the Fig. 2
+hierarchy and stays bit-compatible with the pre-cascade implementation; the
+equivalence is pinned against frozen seeded outputs in
 ``tests/clique/test_cascade.py``.
 """
 
@@ -66,21 +67,6 @@ from repro.decoders.union_find import (
 )
 from repro.exceptions import ConfigurationError
 from repro.types import Coord, DecodeLocation, StabilizerType
-
-
-def _normalize_escalation(escalated, num_events: int) -> np.ndarray:
-    """Normalise a tier's escalation result to an event-index array.
-
-    The PR 5 contract was all-or-nothing per trial: ``True`` meant "ship the
-    whole trial", ``False`` meant "fully resolved".  Custom decoder instances
-    may still return that bool; in-tree tiers return the index subset
-    directly.
-    """
-    if isinstance(escalated, (bool, np.bool_)):
-        if escalated:
-            return np.arange(num_events, dtype=np.int64)
-        return np.empty(0, dtype=np.int64)
-    return np.asarray(escalated, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -400,9 +386,17 @@ class DecoderCascade(Decoder):
                         bitmap[data_index[qubit]] ^= 1
                 break
             partial, escalated = tier.decode_events_tiered(rounds, ancillas)
-            escalated = _normalize_escalation(escalated, rounds.size)
-            if partial is not None:
-                bitmap ^= partial
+            escalated = np.asarray(escalated)
+            malformed = escalated.ndim != 1 or (
+                escalated.size and escalated.dtype.kind not in "iu"
+            )
+            if malformed:
+                raise ConfigurationError(
+                    f"tier {self._tier_names[handled]!r} returned a malformed "
+                    f"escalation set from decode_events_tiered: expected a 1-D "
+                    f"int64 array of event positions, got {escalated!r}"
+                )
+            bitmap ^= partial
             if escalated.size == 0:
                 break
             rounds = rounds[escalated]

@@ -127,10 +127,7 @@ class Decoder(abc.ABC):
       sorted int64 array of event positions it declines (``escalated``,
       indices into the input arrays; empty when fully resolved).  Escalation
       is per cluster, not per trial — only oversized clusters' members
-      travel on.  The cascade also still accepts the legacy PR 5
-      all-or-nothing form ``(bitmap | None, bool)`` from custom decoder
-      instances (``True`` = ship every event, ``False`` = fully resolved).
-      A tier without this hook can only sit last in a
+      travel on.  A tier without this hook can only sit last in a
       :class:`~repro.clique.cascade.DecoderCascade`.
     """
 

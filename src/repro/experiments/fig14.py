@@ -1,4 +1,4 @@
-"""Fig. 14 — logical error rate of Clique+fallback vs the MWPM baseline.
+"""Fig. 14 — logical error rate of a Clique cascade vs the MWPM baseline.
 
 Two scales are supported via ``scale=``:
 
@@ -112,24 +112,14 @@ def _resolve_escalation_threshold(
     return int(escalation_cluster_size)
 
 
-def _resolve_cascade(
-    tiers: str | tuple[str, ...] | None, fallback: str | None
-) -> tuple[str, ...]:
-    """Resolve the ``tiers``/``fallback`` pair into validated tier names.
+def _resolve_cascade(tiers: str | tuple[str, ...] | None) -> tuple[str, ...]:
+    """Resolve a cascade spec into validated tier names (default Clique+MWPM).
 
-    ``tiers`` generalises (and supersedes) ``fallback``; passing both is
-    rejected rather than silently preferring one.  Unknown names fail here —
-    eagerly, with the registry's clean error listing the valid decoders —
-    instead of surfacing from inside a decode call or a pooled worker.
+    Unknown names fail here — eagerly, with the registry's clean error
+    listing the valid decoders — instead of surfacing from inside a decode
+    call or a pooled worker.
     """
-    if tiers is not None and fallback is not None:
-        raise ConfigurationError(
-            "pass either tiers=... (cascade spec) or fallback=... (two-tier "
-            "shorthand), not both"
-        )
-    if tiers is None:
-        return resolve_tier_spec(("clique", fallback if fallback is not None else "mwpm"))
-    return resolve_tier_spec(tiers)
+    return resolve_tier_spec(tiers if tiers is not None else ("clique", "mwpm"))
 
 
 def _resolve_scale(
@@ -230,7 +220,6 @@ def run(
     rounds: int | None = None,
     engine: str | None = None,
     scale: str = "laptop",
-    fallback: str | None = None,
     tiers: str | tuple[str, ...] | None = None,
     escalation_cluster_size: "int | str" = "auto",
     workers: int | None = None,
@@ -243,7 +232,7 @@ def run(
     max_retries: int | None = None,
     shard_timeout: float | None = None,
 ) -> ExperimentResult:
-    """Reproduce the Fig. 14 comparison (baseline vs Clique + fallback).
+    """Reproduce the Fig. 14 comparison (MWPM baseline vs a Clique cascade).
 
     Args:
         trials: flat per-point trial budget; ``None`` (default) picks the
@@ -258,12 +247,12 @@ def run(
             (``adaptive`` forces sharded).
         scale: ``"laptop"`` (seconds, d<=7) or ``"paper"`` (d=3-11 with
             per-distance budgets — the Fig. 14 divergence regime).
-        fallback: two-tier shorthand — the hierarchy's single off-chip tier
-            (``"mwpm"``, the default, or ``"union_find"``).
-        tiers: full cascade spec generalising ``fallback`` — a
-            comma-separated string or name tuple starting with ``"clique"``,
-            e.g. ``"clique,union_find,mwpm"`` for the paper's Section 8.1
-            three-tier cascade.  Mutually exclusive with ``fallback``.
+        tiers: cascade spec — a comma-separated string or name tuple
+            starting with ``"clique"``; ``None`` (default) is the Fig. 2
+            two-tier ``clique,mwpm`` hierarchy, ``"clique,union_find"`` swaps
+            in the near-linear clustering decoder off-chip, and
+            ``"clique,union_find,mwpm"`` is the paper's Section 8.1
+            three-tier cascade.
         escalation_cluster_size: intermediate-tier per-cluster escalation
             threshold for cascades with three or more tiers; the default
             ``"auto"`` resolves per distance (see
@@ -314,8 +303,8 @@ def run(
         target_ci_width = 0.02
     if adaptive:
         engine = "sharded"
-    cascade_tiers = _resolve_cascade(tiers, fallback)
-    hierarchy_name = _cascade_label(cascade_tiers)
+    cascade_tiers = _resolve_cascade(tiers)
+    cascade_name = _cascade_label(cascade_tiers)
     if chunk_trials == AUTO_CHUNK and engine != "sharded":
         raise ConfigurationError(
             f"chunk_trials='auto' requires engine='sharded', got {engine!r}"
@@ -417,33 +406,33 @@ def run(
                 )
 
             baseline = _decoder_run("MWPM", _mwpm_factory)
-            hierarchical = _decoder_run(
-                hierarchy_name,
+            cascade = _decoder_run(
+                cascade_name,
                 _CascadeFactory(cascade_tiers, escalation_cluster_size),
                 cascade_tiers,
             )
-            grid.append((distance, error_rate, point_trials, baseline, hierarchical))
+            grid.append((distance, error_rate, point_trials, baseline, cascade))
     scheduled = SweepScheduler(workers=workers, faults=faults).run(pending)
 
     def _resolve(ref):
         return scheduled[ref.point_id] if isinstance(ref, _Scheduled) else ref
 
     rows = []
-    for distance, error_rate, point_trials, baseline, hierarchical in grid:
+    for distance, error_rate, point_trials, baseline, cascade in grid:
         baseline = _resolve(baseline)
-        hierarchical = _resolve(hierarchical)
+        cascade = _resolve(cascade)
         rows.append(
             {
                 "code_distance": distance,
                 "physical_error_rate": error_rate,
                 "trials": point_trials,
                 "baseline_trials": baseline.trials,
-                "clique_trials": hierarchical.trials,
+                "clique_trials": cascade.trials,
                 "baseline_logical_error_rate": baseline.logical_error_rate,
-                "clique_logical_error_rate": hierarchical.logical_error_rate,
+                "clique_logical_error_rate": cascade.logical_error_rate,
                 "baseline_ci_high": baseline.confidence_interval[1],
-                "clique_ci_high": hierarchical.confidence_interval[1],
-                "onchip_round_fraction": hierarchical.onchip_round_fraction,
+                "clique_ci_high": cascade.confidence_interval[1],
+                "onchip_round_fraction": cascade.onchip_round_fraction,
             }
         )
     notes = (
@@ -455,7 +444,7 @@ def run(
     )
     return ExperimentResult(
         experiment_id="fig14",
-        title=f"Logical error rate: MWPM baseline vs {hierarchy_name}",
+        title=f"Logical error rate: MWPM baseline vs {cascade_name}",
         rows=rows,
         notes=notes,
     )
@@ -485,7 +474,6 @@ def compare_fallbacks(
     rounds: int | None = None,
     engine: str = "batch",
     workers: int | None = None,
-    fallback: str | None = None,
     tiers: str | tuple[str, ...] | None = None,
     escalation_cluster_size: "int | str" = "auto",
 ) -> ExperimentResult:
@@ -503,20 +491,12 @@ def compare_fallbacks(
     rounds per trial entering tier 1 (``offchip_rounds_per_trial``) and the
     final tier (``final_tier_rounds_per_trial``).
 
-    ``fallback`` restricts the comparison to a single two-tier hierarchy
-    (the CLI's ``--fallback`` flag); ``tiers`` (the CLI's ``--tiers``)
-    compares one full cascade spec against the two-tier MWPM reference.
+    ``tiers`` (the CLI's ``--tiers``) compares one cascade spec against the
+    two-tier MWPM reference.
     """
-    if tiers is not None and fallback is not None:
-        raise ConfigurationError(
-            "pass either tiers=... (cascade spec) or fallback=... (two-tier "
-            "shorthand), not both"
-        )
     if tiers is not None:
         spec = resolve_tier_spec(tiers)
         specs = [("clique", "mwpm"), spec] if spec != ("clique", "mwpm") else [spec]
-    elif fallback is not None:
-        specs = [resolve_tier_spec(("clique", fallback))]
     else:
         specs = [resolve_tier_spec(spec) for spec in DEFAULT_FALLBACK_SPECS]
     rows = []

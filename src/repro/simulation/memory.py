@@ -114,7 +114,7 @@ class MemoryExperimentResult:
 
     @property
     def onchip_round_fraction(self) -> float:
-        """Fraction of measurement rounds resolved on-chip (hierarchical decoders only)."""
+        """Fraction of measurement rounds resolved on-chip (decoder cascades only)."""
         if self.total_rounds == 0:
             return 0.0
         return self.onchip_rounds / self.total_rounds
@@ -355,21 +355,12 @@ def run_memory_experiment(
             onchip_rounds += metadata["num_rounds"] - offchip
             total_rounds += metadata["num_rounds"]
             if tier_names and "handled_tier" in metadata:
-                handled = metadata["handled_tier"]
-                tier_trials[handled] += 1
+                tier_trials[metadata["handled_tier"]] += 1
                 tier_rounds[0] += metadata["num_rounds"] - offchip
-                shipped = metadata.get("tier_shipped_rounds")
-                if shipped is not None:
-                    # Per-cluster escalation: each off-chip tier reports the
-                    # distinct rounds actually shipped into it.
-                    for tier, count in enumerate(shipped, start=1):
-                        tier_rounds[tier] += count
-                else:
-                    # Legacy decoders without shipped counts: assume a trial
-                    # handled at tier h re-shipped its whole off-chip window
-                    # through every tier 1..h.
-                    for tier in range(1, handled + 1):
-                        tier_rounds[tier] += offchip
+                # Per-cluster escalation: each off-chip tier reports the
+                # distinct rounds actually shipped into it.
+                for tier, count in enumerate(metadata["tier_shipped_rounds"], start=1):
+                    tier_rounds[tier] += count
 
     return MemoryExperimentResult(
         physical_error_rate=noise.data_error_rate,

@@ -2,9 +2,9 @@
 
 Covers the tier contract (escalation masks, construction validation), the
 bit-identity of the packed batch cascade path against the per-trial
-reference, and — the refactor's load-bearing guarantee — the two-tier alias's bit-identity
-with the *pre-refactor* ``HierarchicalDecoder`` under fixed seeds on all
-three Monte-Carlo engines, pinned against frozen seeded outputs.
+reference, and — the refactor's load-bearing guarantee — the two-tier
+cascade's bit-identity with the *pre-refactor* two-tier hierarchy under fixed
+seeds on all three Monte-Carlo engines, pinned against frozen seeded outputs.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.cascade import CascadeResult, DecoderCascade
+from repro.clique.cascade import DecoderCascade
 from repro.clique.decoder import CliqueDecoder
-from repro.clique.hierarchical import HierarchicalDecoder, HierarchicalResult
 from repro.codes.rotated_surface import get_code
+from repro.decoders.base import Decoder
 from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import resolve_tier_spec, tier_decoder_names
 from repro.decoders.union_find import ClusteringDecoder
@@ -41,14 +41,6 @@ class _CascadeFactory:
 
     def __call__(self, code, stype):
         return DecoderCascade(code, stype, tiers=self.tiers)
-
-
-class _HierarchicalFactory:
-    def __init__(self, fallback):
-        self.fallback = fallback
-
-    def __call__(self, code, stype):
-        return HierarchicalDecoder(code, stype, fallback=self.fallback)
 
 
 class TestTierSpecResolution:
@@ -101,22 +93,19 @@ class TestConstruction:
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
         assert cascade.offchip_tiers[0]._graph is cascade.offchip_tiers[1]._graph
 
-    def test_boundary_clique_cache_limit_threads_through(self, code_d5):
+    @pytest.mark.parametrize(
+        "tiers, limit",
+        [(THREE_TIER, 3), (("clique", "mwpm"), 2)],
+        ids=["three-tier", "two-tier"],
+    )
+    def test_boundary_clique_cache_limit_threads_through(self, code_d5, tiers, limit):
         cascade = DecoderCascade(
-            code_d5, StabilizerType.X, tiers=THREE_TIER, boundary_clique_cache_limit=3
+            code_d5, StabilizerType.X, tiers=tiers, boundary_clique_cache_limit=limit
         )
-        mwpm = cascade.offchip_tiers[1]
+        mwpm = cascade.offchip_tiers[-1]
         for num in range(2, 12):
             mwpm._boundary_clique_edges(num)
-        assert len(mwpm._boundary_clique_cache) == 3
-
-    def test_hierarchical_cache_limit_kwarg(self, code_d5):
-        decoder = HierarchicalDecoder(
-            code_d5, StabilizerType.X, boundary_clique_cache_limit=2
-        )
-        for num in range(2, 9):
-            decoder.fallback._boundary_clique_edges(num)
-        assert len(decoder.fallback._boundary_clique_cache) == 2
+        assert len(mwpm._boundary_clique_cache) == limit
 
     def test_non_escalating_mid_tier_is_rejected(self, code_d5):
         # MWPM has no escalation path, so it can only sit last.
@@ -138,9 +127,6 @@ class TestConstruction:
     def test_bad_front_tier_is_rejected(self, code_d5):
         with pytest.raises(ConfigurationError, match="first cascade tier"):
             DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", "union_find"))
-
-    def test_hierarchical_result_is_cascade_result(self):
-        assert HierarchicalResult is CascadeResult
 
 
 class TestEscalationMask:
@@ -206,6 +192,52 @@ class TestEscalationMask:
             ClusteringDecoder(code_d5, StabilizerType.X, escalation_cluster_size=0)
 
 
+def _lone_bulk_flip(code):
+    """A 3-round history whose first round is complex, so it goes off-chip."""
+    bulk = next(a.index for a in code.ancillas(StabilizerType.X) if not a.boundary_qubits)
+    detections = np.zeros((3, _width(code)), dtype=np.uint8)
+    detections[0, bulk] = 1
+    return detections
+
+
+class _StubEscalatingTier(Decoder):
+    """Intermediate tier that resolves nothing and returns a fixed escalation."""
+
+    def __init__(self, code, stype, escalated):
+        super().__init__(code, stype)
+        self._escalated = escalated
+
+    def decode(self, detections):  # pragma: no cover - never the final tier
+        raise AssertionError("an intermediate tier is never decoded directly")
+
+    def decode_events_tiered(self, rounds, ancillas):
+        return np.zeros(self.code.num_data_qubits, dtype=np.uint8), self._escalated
+
+
+class TestMalformedEscalation:
+    """A tier's ``escalated`` must be a 1-D index array; anything else (a
+    bool, a 2-D array) is rejected by tier name rather than silently
+    indexing the wrong event subset."""
+
+    @pytest.mark.parametrize(
+        "escalated",
+        [True, np.array([[0], [1]], dtype=np.int64)],
+        ids=["bool", "2d-array"],
+    )
+    def test_malformed_escalation_raises_naming_the_tier(self, code_d5, escalated):
+        stub = _StubEscalatingTier(code_d5, StabilizerType.X, escalated)
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", stub, "mwpm"))
+        with pytest.raises(ConfigurationError, match="_StubEscalatingTier"):
+            cascade.decode_history(_lone_bulk_flip(code_d5))
+
+    def test_well_formed_escalation_reaches_the_final_tier(self, code_d5):
+        stub = _StubEscalatingTier(code_d5, StabilizerType.X, np.array([0], dtype=np.int64))
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", stub, "mwpm"))
+        result = cascade.decode_history(_lone_bulk_flip(code_d5))
+        assert result.handled_tier == 2
+        assert result.tier_shipped_rounds == (1, 1)
+
+
 class TestBatchedCascadeBitIdentity:
     """The packed batch cascade path must stay bit-identical to the per-trial
     decode_history reference — including which tier resolves each trial."""
@@ -224,13 +256,6 @@ class TestBatchedCascadeBitIdentity:
             assert_same_decode(result, decode_per_trial(cascade, batch))
             assert int(result.tier_trials.sum()) == batch.shape[0]
 
-    def test_two_tier_cascade_matches_hierarchical_alias(self, code_d5):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm"))
-        alias = HierarchicalDecoder(code_d5, StabilizerType.X)
-        rng = np.random.default_rng(41)
-        batch = (rng.random((30, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        assert_same_decode(decode_packed(cascade, batch), decode_packed(alias, batch))
-
     def test_tier_rounds_accounting(self, code_d5):
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
         rng = np.random.default_rng(43)
@@ -246,7 +271,7 @@ class TestBatchedCascadeBitIdentity:
 
 
 #: Frozen seeded outputs captured from the pre-refactor two-tier
-#: ``HierarchicalDecoder`` implementation (commit 645e6b2) — trials=300,
+#: hierarchy implementation (commit 645e6b2) — trials=300,
 #: p=2e-2, seed=1234, rounds=distance; sharded at workers=1 with the default
 #: chunk.  The cascade refactor must reproduce every number bit for bit.
 PRE_REFACTOR_SEEDED = {
@@ -267,39 +292,21 @@ PRE_REFACTOR_SEEDED = {
 
 
 class TestPreRefactorEquivalence:
-    """``DecoderCascade(("clique", f))`` and the ``HierarchicalDecoder``
-    alias must both be bit-identical to the pre-refactor hierarchy under
-    fixed seeds on the loop, batch, and sharded engines."""
+    """``DecoderCascade(("clique", f))`` must be bit-identical to the
+    pre-refactor hierarchy under fixed seeds on the loop, batch, and sharded
+    engines — every ``PRE_REFACTOR_SEEDED`` entry is asserted."""
 
+    @pytest.mark.parametrize("distance", [3, 5])
     @pytest.mark.parametrize("fallback", ["mwpm", "union_find"])
     @pytest.mark.parametrize("engine", ["loop", "batch", "sharded"])
-    def test_two_tier_cascade_reproduces_frozen_outputs(self, fallback, engine):
-        distance = 5
+    def test_two_tier_cascade_reproduces_frozen_outputs(
+        self, fallback, engine, distance
+    ):
         expected = PRE_REFACTOR_SEEDED[(fallback, distance, engine)]
         result = run_memory_experiment(
             get_code(distance),
             PhenomenologicalNoise(2e-2),
             _CascadeFactory(("clique", fallback)),
-            trials=300,
-            rng=1234,
-            engine=engine,
-            workers=1 if engine == "sharded" else None,
-        )
-        assert (
-            result.logical_failures,
-            result.onchip_rounds,
-            result.total_rounds,
-        ) == expected
-
-    @pytest.mark.parametrize("fallback", ["mwpm", "union_find"])
-    @pytest.mark.parametrize("engine", ["loop", "batch", "sharded"])
-    def test_hierarchical_alias_reproduces_frozen_outputs(self, fallback, engine):
-        distance = 3
-        expected = PRE_REFACTOR_SEEDED[(fallback, distance, engine)]
-        result = run_memory_experiment(
-            get_code(distance),
-            PhenomenologicalNoise(2e-2),
-            _HierarchicalFactory(fallback),
             trials=300,
             rng=1234,
             engine=engine,

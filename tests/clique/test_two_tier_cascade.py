@@ -1,11 +1,11 @@
-"""Tests for the hierarchical (Clique on-chip + MWPM off-chip) decoder."""
+"""Tests for the two-tier decoder cascade (Clique on-chip + one off-chip tier)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.decoders.mwpm import MWPMDecoder
 from repro.types import Coord, DecodeLocation, StabilizerType
 
@@ -13,10 +13,10 @@ from batch_oracle import assert_same_decode, decode_packed, decode_per_trial
 
 
 @pytest.fixture(scope="module")
-def hierarchical_d5():
+def cascade_d5():
     from repro.codes.rotated_surface import get_code
 
-    return HierarchicalDecoder(get_code(5), StabilizerType.X)
+    return DecoderCascade(get_code(5), StabilizerType.X)
 
 
 def _width(code):
@@ -24,27 +24,27 @@ def _width(code):
 
 
 class TestOnChipPath:
-    def test_quiet_history_stays_on_chip(self, hierarchical_d5, code_d5):
+    def test_quiet_history_stays_on_chip(self, cascade_d5, code_d5):
         detections = np.zeros((4, _width(code_d5)), dtype=np.uint8)
-        result = hierarchical_d5.decode_history(detections)
+        result = cascade_d5.decode_history(detections)
         assert result.correction == frozenset()
         assert result.num_offchip_rounds == 0
         assert all(loc is DecodeLocation.ON_CHIP for loc in result.round_locations)
         assert result.onchip_fraction == 1.0
 
-    def test_single_data_error_is_handled_on_chip(self, hierarchical_d5, code_d5):
+    def test_single_data_error_is_handled_on_chip(self, cascade_d5, code_d5):
         error = Coord(4, 4)
         syndrome = code_d5.syndrome_of({error}, StabilizerType.X)
         detections = np.zeros((3, _width(code_d5)), dtype=np.uint8)
         detections[1] = syndrome
-        result = hierarchical_d5.decode_history(detections)
+        result = cascade_d5.decode_history(detections)
         assert result.num_offchip_rounds == 0
         assert result.correction == frozenset({error})
         assert result.onchip_correction == frozenset({error})
         assert result.offchip_correction == frozenset()
 
     def test_transient_measurement_error_is_filtered_on_chip(
-        self, hierarchical_d5, code_d5
+        self, cascade_d5, code_d5
     ):
         # A measurement error creates a same-ancilla detection pair in
         # consecutive rounds; the persistence filter absorbs it with no
@@ -52,7 +52,7 @@ class TestOnChipPath:
         detections = np.zeros((4, _width(code_d5)), dtype=np.uint8)
         detections[1, 5] = 1
         detections[2, 5] = 1
-        result = hierarchical_d5.decode_history(detections)
+        result = cascade_d5.decode_history(detections)
         assert result.correction == frozenset()
         assert result.num_offchip_rounds == 0
 
@@ -72,10 +72,10 @@ def _complex_round_signature(code) -> np.ndarray:
 
 
 class TestOffChipPath:
-    def test_lone_bulk_flip_goes_off_chip(self, hierarchical_d5, code_d5):
+    def test_lone_bulk_flip_goes_off_chip(self, cascade_d5, code_d5):
         detections = np.zeros((3, _width(code_d5)), dtype=np.uint8)
         detections[0] = _complex_round_signature(code_d5)
-        result = hierarchical_d5.decode_history(detections)
+        result = cascade_d5.decode_history(detections)
         assert result.num_offchip_rounds == 1
         assert result.offchip_rounds == (0,)
         assert result.round_locations[0] is DecodeLocation.OFF_CHIP
@@ -83,20 +83,20 @@ class TestOffChipPath:
         syndrome = code_d5.syndrome_of(result.offchip_correction, StabilizerType.X)
         assert np.array_equal(syndrome, detections[0])
 
-    def test_mixed_history_splits_rounds(self, hierarchical_d5, code_d5):
+    def test_mixed_history_splits_rounds(self, cascade_d5, code_d5):
         simple = Coord(4, 4)
         detections = np.zeros((4, _width(code_d5)), dtype=np.uint8)
         detections[0] = code_d5.syndrome_of({simple}, StabilizerType.X)
         detections[2] = _complex_round_signature(code_d5)
-        result = hierarchical_d5.decode_history(detections)
+        result = cascade_d5.decode_history(detections)
         assert result.round_locations[0] is DecodeLocation.ON_CHIP
         assert result.round_locations[2] is DecodeLocation.OFF_CHIP
         assert simple in result.onchip_correction
 
-    def test_decode_metadata_reports_fractions(self, hierarchical_d5, code_d5):
+    def test_decode_metadata_reports_fractions(self, cascade_d5, code_d5):
         detections = np.zeros((2, _width(code_d5)), dtype=np.uint8)
         detections[0] = _complex_round_signature(code_d5)
-        outcome = hierarchical_d5.decode(detections)
+        outcome = cascade_d5.decode(detections)
         assert outcome.handled
         assert outcome.metadata["num_rounds"] == 2
         assert outcome.metadata["num_offchip_rounds"] == 1
@@ -120,7 +120,7 @@ class TestConfiguration:
                 return super().decode_events_bitmap(rounds, ancillas)
 
         fallback = RecordingMWPM(code_d5, StabilizerType.X)
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X, fallback=fallback)
+        decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", fallback))
         detections = np.zeros((2, _width(code_d5)), dtype=np.uint8)
         detections[0] = _complex_round_signature(code_d5)
         decoder.decode_history(detections)
@@ -139,8 +139,10 @@ class TestConfiguration:
                 calls.append(rounds.copy())
                 return super().decode_events_bitmap(rounds, ancillas)
 
-        decoder = HierarchicalDecoder(
-            code_d5, StabilizerType.X, fallback=RecordingMWPM(code_d5, StabilizerType.X)
+        decoder = DecoderCascade(
+            code_d5,
+            StabilizerType.X,
+            tiers=("clique", RecordingMWPM(code_d5, StabilizerType.X)),
         )
         detections = np.zeros((3, _width(code_d5)), dtype=np.uint8)
         detections[0] = code_d5.syndrome_of({Coord(4, 4)}, StabilizerType.X)
@@ -148,12 +150,12 @@ class TestConfiguration:
         assert calls == []
 
     def test_measurement_rounds_parameter_exposed(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X, measurement_rounds=3)
+        decoder = DecoderCascade(code_d5, StabilizerType.X, measurement_rounds=3)
         assert decoder.measurement_rounds == 3
 
-    def test_clique_and_fallback_accessors(self, hierarchical_d5):
-        assert hierarchical_d5.clique is not None
-        assert isinstance(hierarchical_d5.fallback, MWPMDecoder)
+    def test_clique_and_fallback_accessors(self, cascade_d5):
+        assert cascade_d5.clique is not None
+        assert isinstance(cascade_d5.offchip_tiers[0], MWPMDecoder)
 
 
 class TestAccuracyAgainstBaseline:
@@ -169,16 +171,16 @@ class TestAccuracyAgainstBaseline:
             trials=600,
             rng=5,
         )
-        hierarchical = run_memory_experiment(
+        cascade = run_memory_experiment(
             code_d3,
             noise,
-            lambda code, stype: HierarchicalDecoder(code, stype),
+            lambda code, stype: DecoderCascade(code, stype),
             trials=600,
             rng=5,
         )
         # Fig. 14: the hierarchy tracks the baseline closely; allow a modest
         # statistical + design margin.
-        assert hierarchical.logical_error_rate <= 2.5 * max(
+        assert cascade.logical_error_rate <= 2.5 * max(
             baseline.logical_error_rate, 0.01
         )
 
@@ -189,7 +191,7 @@ class TestAccuracyAgainstBaseline:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(1e-3),
-            lambda code, stype: HierarchicalDecoder(code, stype),
+            lambda code, stype: DecoderCascade(code, stype),
             trials=200,
             rng=6,
         )
@@ -198,20 +200,23 @@ class TestAccuracyAgainstBaseline:
 
 class TestNamedFallbacks:
     def test_mwpm_is_the_default(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X)
-        assert isinstance(decoder.fallback, MWPMDecoder)
+        decoder = DecoderCascade(code_d5, StabilizerType.X)
+        assert decoder.tier_names == ("clique", "mwpm")
+        assert isinstance(decoder.offchip_tiers[0], MWPMDecoder)
 
     def test_union_find_is_selectable_by_name(self, code_d5):
         from repro.decoders.union_find import ClusteringDecoder
 
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X, fallback="union_find")
-        assert isinstance(decoder.fallback, ClusteringDecoder)
+        decoder = DecoderCascade(
+            code_d5, StabilizerType.X, tiers=("clique", "union_find")
+        )
+        assert isinstance(decoder.offchip_tiers[0], ClusteringDecoder)
 
     def test_unknown_name_is_rejected(self, code_d5):
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            HierarchicalDecoder(code_d5, StabilizerType.X, fallback="lookup_table")
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "lookup_table"))
 
 
 class TestBatchedFallbackBitIdentity:
@@ -225,7 +230,7 @@ class TestBatchedFallbackBitIdentity:
         from repro.codes.rotated_surface import get_code
 
         code = get_code(distance)
-        decoder = HierarchicalDecoder(code, StabilizerType.X, fallback=fallback)
+        decoder = DecoderCascade(code, StabilizerType.X, tiers=("clique", fallback))
         width = _width(code)
         rng = np.random.default_rng(29)
         # Densities straddle the on-chip/off-chip triage point so plenty of
@@ -243,8 +248,8 @@ class TestBatchedFallbackBitIdentity:
             decode_events_bitmap = None  # hide the batched hook
 
         plain = PlainMWPM(code_d5, StabilizerType.X)
-        via_plain = HierarchicalDecoder(code_d5, StabilizerType.X, fallback=plain)
-        via_batched = HierarchicalDecoder(code_d5, StabilizerType.X)
+        via_plain = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", plain))
+        via_batched = DecoderCascade(code_d5, StabilizerType.X)
         rng = np.random.default_rng(31)
         batch = (rng.random((30, 6, _width(code_d5))) < 0.15).astype(np.uint8)
         assert_same_decode(decode_packed(via_plain, batch), decode_packed(via_batched, batch))

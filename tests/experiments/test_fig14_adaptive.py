@@ -7,7 +7,7 @@ the fixed ``PAPER_TRIAL_BUDGETS`` entry, deterministically per seed.
 
 from __future__ import annotations
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.experiments import fig14
 from repro.experiments.fig14 import PAPER_TRIAL_BUDGETS
 from repro.noise.models import PhenomenologicalNoise
@@ -15,8 +15,8 @@ from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import until_wilson
 
 
-def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+def _cascade(code, stype):
+    return DecoderCascade(code, stype)
 
 
 class TestAdaptiveMemoryExperiment:
@@ -26,7 +26,7 @@ class TestAdaptiveMemoryExperiment:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(1e-2),
-            _hierarchical,
+            _cascade,
             trials=budget,
             engine="sharded",
             adaptive=stop,
@@ -44,7 +44,7 @@ class TestAdaptiveMemoryExperiment:
             run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(2e-2),
-                _hierarchical,
+                _cascade,
                 trials=2000,
                 engine="sharded",
                 adaptive=stop,

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments import fig04, fig09, fig11, fig12, fig13, fig14, fig15, fig16, headline, table1
+from repro.store.keys import result_key
 
 
 class TestFig04:
@@ -111,6 +114,34 @@ class TestFig14:
         assert two == fig14._memory_point_config(
             **common, tiers=("clique", "mwpm"), escalation_cluster_size=12
         )
+
+    def test_two_tier_store_key_keeps_fallback_spelling(self, tmp_path):
+        # Literal digests that ``fig14.run(fallback="union_find")`` keyed
+        # before that keyword was removed (d=3, p=1e-2, trials=100, batch,
+        # seed 2026): the two-tier cascade must keep keying as
+        # ``"fallback": "union_find"`` with no ``"tiers"`` entry, or every
+        # stored two-tier point silently goes cold.
+        tiers = fig14._resolve_cascade(("clique", "union_find"))
+        config = fig14._memory_point_config(
+            3, 1e-2, None, 100, "batch", fig14._cascade_label(tiers), tiers, None
+        )
+        assert config["fallback"] == "union_find"
+        assert "tiers" not in config
+        assert result_key("fig14", config, 2026) == (
+            "011ae1f9e1a1a52bf8ff10ebebd92af1a6f5e79196b49ebd527d4fec835a4264"
+        )
+        fig14.run(
+            trials=100,
+            distances=(3,),
+            error_rates=(1e-2,),
+            seed=2026,
+            tiers="clique,union_find",
+            store=tmp_path,
+        )
+        lines = (tmp_path / "results.jsonl").read_text().splitlines()
+        keys = {json.loads(line)["key"] for line in lines}
+        # The same config under the sweep's derived point seed.
+        assert "b8b496260368d06511ae95450165072145903a8f1a48b51e95b038cd25d47706" in keys
 
 
 class TestFig15:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import bitplane
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
@@ -25,8 +25,8 @@ from repro.types import StabilizerType
 from batch_oracle import assert_same_decode, decode_packed, decode_per_trial
 
 
-def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+def _cascade(code, stype):
+    return DecoderCascade(code, stype)
 
 
 def _mwpm(code, stype):
@@ -37,7 +37,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("distance", [3, 5])
     @pytest.mark.parametrize("error_rate", [5e-3, 2e-2])
     @pytest.mark.parametrize(
-        "factory", [_hierarchical, _mwpm], ids=["hierarchical", "mwpm"]
+        "factory", [_cascade, _mwpm], ids=["hierarchical", "mwpm"]
     )
     def test_batch_matches_loop_bit_for_bit(self, distance, error_rate, factory):
         code = get_code(distance)
@@ -57,10 +57,10 @@ class TestEngineEquivalence:
     def test_chunking_preserves_the_rng_stream(self, code_d3):
         noise = PhenomenologicalNoise(1e-2)
         whole = run_memory_experiment_batch(
-            code_d3, noise, _hierarchical, trials=100, rng=5
+            code_d3, noise, _cascade, trials=100, rng=5
         )
         chunked = run_memory_experiment_batch(
-            code_d3, noise, _hierarchical, trials=100, rng=5, chunk_trials=7
+            code_d3, noise, _cascade, trials=100, rng=5, chunk_trials=7
         )
         assert chunked.logical_failures == whole.logical_failures
         assert chunked.onchip_rounds == whole.onchip_rounds
@@ -77,16 +77,16 @@ class TestEngineEquivalence:
 
     def test_default_engine_is_batch_and_reproducible(self, code_d3):
         noise = PhenomenologicalNoise(2e-2)
-        default = run_memory_experiment(code_d3, noise, _hierarchical, trials=80, rng=9)
+        default = run_memory_experiment(code_d3, noise, _cascade, trials=80, rng=9)
         loop = run_memory_experiment(
-            code_d3, noise, _hierarchical, trials=80, rng=9, engine="loop"
+            code_d3, noise, _cascade, trials=80, rng=9, engine="loop"
         )
         assert default.logical_failures == loop.logical_failures
 
 
 class TestDecodeBatch:
     def test_hierarchical_packed_decode_matches_decode_history(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X)
+        decoder = DecoderCascade(code_d5, StabilizerType.X)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         rng = np.random.default_rng(11)
         for density in (0.03, 0.15):
@@ -136,7 +136,7 @@ def _clique_signatures(distance):
     even-leaf case (complex).
     """
     code = get_code(distance)
-    decoder = HierarchicalDecoder(code, StabilizerType.X).clique
+    decoder = DecoderCascade(code, StabilizerType.X).clique
     width = code.num_ancillas_of_type(StabilizerType.X)
     rng = np.random.default_rng(21 + distance)
     random_rows = (rng.random((131, width)) < 0.12).astype(np.uint8)
@@ -213,10 +213,10 @@ class TestBatchedNoiseSampling:
 
         noise = BurstNoise(2e-2)
         loop = run_memory_experiment(
-            code_d3, noise, _hierarchical, trials=120, rng=31, engine="loop"
+            code_d3, noise, _cascade, trials=120, rng=31, engine="loop"
         )
         batch = run_memory_experiment(
-            code_d3, noise, _hierarchical, trials=120, rng=31, engine="batch"
+            code_d3, noise, _cascade, trials=120, rng=31, engine="batch"
         )
         assert batch.logical_failures == loop.logical_failures
         assert batch.onchip_rounds == loop.onchip_rounds

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
@@ -21,8 +21,8 @@ def _mwpm(code, stype):
     return MWPMDecoder(code, stype)
 
 
-def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+def _cascade(code, stype):
+    return DecoderCascade(code, stype)
 
 
 class TestRunMemoryTrial:
@@ -37,7 +37,7 @@ class TestRunMemoryTrial:
 
     def test_hierarchical_metadata_includes_round_split(self, code_d3, rng):
         noise = PhenomenologicalNoise(0.02)
-        decoder = HierarchicalDecoder(code_d3, StabilizerType.X)
+        decoder = DecoderCascade(code_d3, StabilizerType.X)
         _failed, metadata = run_memory_trial(
             code_d3, StabilizerType.X, noise, decoder, rounds=3, rng=rng
         )
@@ -88,7 +88,7 @@ class TestRunMemoryExperiment:
 
     def test_hierarchical_tracks_onchip_fraction(self, code_d3):
         result = run_memory_experiment(
-            code_d3, PhenomenologicalNoise(5e-3), _hierarchical, trials=50, rng=6
+            code_d3, PhenomenologicalNoise(5e-3), _cascade, trials=50, rng=6
         )
         assert result.total_rounds == 50 * 4
         assert 0.0 <= result.onchip_round_fraction <= 1.0

@@ -18,7 +18,6 @@ import pytest
 
 from repro import bitplane
 from repro.clique.cascade import DecoderCascade
-from repro.clique.hierarchical import HierarchicalDecoder
 from repro.codes.rotated_surface import get_code
 from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
 from repro.decoders.mwpm import MWPMDecoder
@@ -32,8 +31,8 @@ from repro.types import StabilizerType
 from batch_oracle import assert_same_decode, decode_packed, decode_per_trial
 
 
-def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+def _cascade(code, stype):
+    return DecoderCascade(code, stype)
 
 
 def _mwpm(code, stype):
@@ -66,7 +65,7 @@ class TestPackedEquivalence:
     @pytest.mark.parametrize("error_rate", [5e-3, 2e-2])
     @pytest.mark.parametrize(
         "factory",
-        [_hierarchical, _CascadeFactory(("clique", "union_find", "mwpm")), _mwpm],
+        [_cascade, _CascadeFactory(("clique", "union_find", "mwpm")), _mwpm],
         ids=["two-tier", "three-tier", "flat-mwpm"],
     )
     def test_packed_matches_loop(self, distance, trials, error_rate, factory):
@@ -82,20 +81,20 @@ class TestPackedEquivalence:
     def test_ragged_trial_counts_stay_bit_identical(self, code_d5, trials):
         noise = PhenomenologicalNoise(2e-2)
         packed = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=trials, rng=7
+            code_d5, noise, _cascade, trials=trials, rng=7
         )
         loop = run_memory_experiment(
-            code_d5, noise, _hierarchical, trials=trials, rng=7, engine="loop"
+            code_d5, noise, _cascade, trials=trials, rng=7, engine="loop"
         )
         _assert_results_identical(packed, loop)
 
     def test_packed_chunking_preserves_the_rng_stream(self, code_d5):
         noise = PhenomenologicalNoise(1e-2)
         chunked = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=100, rng=5, chunk_trials=7
+            code_d5, noise, _cascade, trials=100, rng=5, chunk_trials=7
         )
         loop = run_memory_experiment(
-            code_d5, noise, _hierarchical, trials=100, rng=5, engine="loop"
+            code_d5, noise, _cascade, trials=100, rng=5, engine="loop"
         )
         _assert_results_identical(chunked, loop)
 
@@ -134,9 +133,9 @@ class TestPackedEquivalence:
 
     def test_memory_experiment_front_door_matches_loop(self, code_d5):
         noise = PhenomenologicalNoise(2e-2)
-        default = run_memory_experiment(code_d5, noise, _hierarchical, trials=90, rng=3)
+        default = run_memory_experiment(code_d5, noise, _cascade, trials=90, rng=3)
         loop = run_memory_experiment(
-            code_d5, noise, _hierarchical, trials=90, rng=3, engine="loop"
+            code_d5, noise, _cascade, trials=90, rng=3, engine="loop"
         )
         _assert_results_identical(default, loop)
 
@@ -153,10 +152,10 @@ class TestPackedEquivalence:
 
         noise = BurstNoise(2e-2)
         packed = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=120, rng=31
+            code_d5, noise, _cascade, trials=120, rng=31
         )
         loop = run_memory_experiment(
-            code_d5, noise, _hierarchical, trials=120, rng=31, engine="loop"
+            code_d5, noise, _cascade, trials=120, rng=31, engine="loop"
         )
         _assert_results_identical(packed, loop)
 
@@ -277,7 +276,7 @@ class TestAllocationDiscipline:
 
         def run():
             run_memory_experiment_batch(
-                code, noise, _hierarchical, trials=trials, rounds=rounds,
+                code, noise, _cascade, trials=trials, rounds=rounds,
                 rng=0, chunk_trials=trials,
             )
 

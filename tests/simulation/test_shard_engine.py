@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import get_code
 from repro.exceptions import ConfigurationError
 from repro.noise.models import PhenomenologicalNoise
@@ -29,12 +29,12 @@ from shard_kernels import BernoulliKernel
 
 # Sharded workers rebuild the decoder, so factories must be module-level
 # (picklable) callables.
-def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+def _cascade(code, stype):
+    return DecoderCascade(code, stype)
 
 
-def _hierarchical_uf(code, stype):
-    return HierarchicalDecoder(code, stype, fallback="union_find")
+def _cascade_uf(code, stype):
+    return DecoderCascade(code, stype, tiers=("clique", "union_find"))
 
 
 class TestGenericRunner:
@@ -184,7 +184,7 @@ class TestShardedDeterminism:
             run_memory_experiment(
                 code_d3,
                 noise,
-                _hierarchical,
+                _cascade,
                 trials=900,
                 rng=17,
                 engine="sharded",
@@ -206,7 +206,7 @@ class TestShardedDeterminism:
         sharded = run_memory_experiment(
             code_d5,
             noise,
-            _hierarchical,
+            _cascade,
             trials=1000,
             rng=seed,
             chunk_trials=chunk,
@@ -218,7 +218,7 @@ class TestShardedDeterminism:
             shard = run_memory_experiment_batch(
                 code_d5,
                 noise,
-                _hierarchical,
+                _cascade,
                 trials=shard_trials,
                 rng=shard_rng(seed, index),
             )
@@ -232,10 +232,10 @@ class TestShardedDeterminism:
     def test_repeated_runs_are_identical(self, code_d3):
         noise = PhenomenologicalNoise(1e-2)
         first = run_memory_experiment(
-            code_d3, noise, _hierarchical, trials=500, rng=3, engine="sharded"
+            code_d3, noise, _cascade, trials=500, rng=3, engine="sharded"
         )
         second = run_memory_experiment(
-            code_d3, noise, _hierarchical, trials=500, rng=3, engine="sharded"
+            code_d3, noise, _cascade, trials=500, rng=3, engine="sharded"
         )
         assert first.logical_failures == second.logical_failures
         assert first.onchip_rounds == second.onchip_rounds
@@ -245,7 +245,7 @@ class TestShardedDeterminism:
         single = run_memory_experiment(
             code_d3,
             noise,
-            _hierarchical_uf,
+            _cascade_uf,
             trials=600,
             rng=11,
             engine="sharded",
@@ -255,7 +255,7 @@ class TestShardedDeterminism:
         pooled = run_memory_experiment(
             code_d3,
             noise,
-            _hierarchical_uf,
+            _cascade_uf,
             trials=600,
             rng=11,
             engine="sharded",
@@ -272,7 +272,7 @@ class TestShardedValidation:
             run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
-                _hierarchical,
+                _cascade,
                 trials=100,
                 rng=np.random.default_rng(1),
                 engine="sharded",
@@ -283,7 +283,7 @@ class TestShardedValidation:
             run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
-                _hierarchical,
+                _cascade,
                 trials=100,
                 engine="batch",
                 workers=2,
@@ -294,7 +294,7 @@ class TestShardedValidation:
             run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
-                _hierarchical,
+                _cascade,
                 trials=100,
                 rng=1,
                 workers=0,
@@ -305,7 +305,7 @@ class TestShardedValidation:
         result = run_memory_experiment(
             code_d3,
             PhenomenologicalNoise(1e-2),
-            _hierarchical,
+            _cascade,
             trials=120,
             rng=2,
             engine="sharded",
@@ -314,4 +314,4 @@ class TestShardedValidation:
         assert result.trials == 120
         assert result.code_distance == 3
         assert result.rounds == 3
-        assert result.decoder_name == "HierarchicalDecoder"
+        assert result.decoder_name == "Cascade[clique,mwpm]"

@@ -274,14 +274,8 @@ class TestCascadeTiersCli:
         assert "mwpm" in err and "union_find" in err
         assert "Traceback" not in err
 
-    def test_unknown_fallback_name_lists_valid_decoders(self, capsys):
-        assert main(self.FIG14_ARGS + ["--fallback", "blossom"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "mwpm" in err and "union_find" in err
-
     def test_unknown_fallback_via_param_lists_valid_decoders(self, capsys):
-        assert main(self.FIG14_ARGS + ["--param", "fallback=blossom"]) == 1
+        assert main(self.FIG14_ARGS + ["--param", "tiers=clique,blossom"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "mwpm" in err and "union_find" in err
@@ -302,11 +296,14 @@ class TestCascadeTiersCli:
         out = capsys.readouterr().out
         assert "clique,union_find,mwpm" in out
 
-    def test_tiers_and_fallback_are_mutually_exclusive(self, capsys):
+    def test_fallback_spelling_is_gone(self, capsys):
+        # --tiers clique,union_find is the one way to pick the off-chip tier.
         with pytest.raises(SystemExit) as excinfo:
-            main(self.FIG14_ARGS + ["--tiers", "clique,mwpm", "--fallback", "mwpm"])
-        assert excinfo.value.code not in (0, None)
-        assert "mutually exclusive" in capsys.readouterr().err
+            main(self.FIG14_ARGS + ["--fallback", "union_find"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert main(self.FIG14_ARGS + ["--param", "fallback=union_find"]) == 1
+        assert "unexpected keyword argument 'fallback'" in capsys.readouterr().err
 
 
 class TestStoreCompactCli:

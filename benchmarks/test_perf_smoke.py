@@ -35,6 +35,12 @@ tracked across PRs:
   and per-tier counts identical to the per-trial ``loop`` oracle on the
   same seed and a peak working set
   of at most 2.4 bytes per sampled (trial, round, qubit) cell of one chunk;
+* ``sampler`` (schema v12) — one engine chunk of history sampling at
+  d in {7, 11, 13} x p in {1e-3, 1e-2}: the skip sampler of base noise
+  models against the dense per-vector path that hook-overriding subclasses
+  take, recording median seconds per chunk and the set-bit count, and
+  asserting the skip sampler is faster at every point and draws
+  distribution-identical set-bit totals (both within the Binomial band);
 * ``blossom`` (schema v8) — the in-tree blossom matcher against the legacy
   networkx auxiliary-graph path, twice over: matcher-level timings on
   synthetic d=13 event sets (n in {24, 48, 96}, equal total weight
@@ -76,7 +82,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+from repro import bitplane
 from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
@@ -97,7 +105,7 @@ from repro.types import StabilizerType
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 DISTANCE = 5
 ERROR_RATE = 1e-2
 TRIALS = 1_000
@@ -150,6 +158,14 @@ PACKED_WORKLOADS = ((7, 4_000), (11, 2_000), (13, 2_000))
 PACKED_TIMING_REPEATS = 3
 MAX_PACKED_BYTES_PER_ENTRY = 2.4
 
+#: Sampler workload (schema v12): one engine chunk of sampling per point,
+#: skip sampler vs the dense per-vector path (a subclass overriding a
+#: per-vector hook with ``super()``), median of N draws on each side.
+SAMPLER_POINTS = tuple((d, p) for d in (7, 11, 13) for p in (1e-3, 1e-2))
+SAMPLER_TIMING_REPEATS = 5
+#: Two-sided false-alarm rate of each set-bit count's Binomial band.
+SAMPLER_ALPHA = 1e-6
+
 #: Blossom workload (schema v8): the in-tree implicit-boundary blossom
 #: matcher vs the legacy networkx auxiliary-graph path.  Matcher-level
 #: timings run on synthetic d=13 event sets drawn from the real matching
@@ -192,6 +208,13 @@ pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_PERF_SMOKE") != "1",
     reason="perf smoke stays out of the tier-1 fast path; set REPRO_PERF_SMOKE=1",
 )
+
+
+class _DenseStreamNoise(PhenomenologicalNoise):
+    """Overrides a per-vector hook with ``super()``: same physics, dense path."""
+
+    def sample_data_vector(self, code, rng):
+        return super().sample_data_vector(code, rng)
 
 
 class _Cascade:
@@ -406,6 +429,45 @@ def test_engine_and_fallback_throughput_bench_record():
             }
         )
     packed_record = {"points": packed_points}
+
+    # --- sampler: skip sampling vs the dense per-vector path (schema v12) --
+    sampler_points = []
+    for distance, error_rate in SAMPLER_POINTS:
+        code = get_code(distance)
+        cells = DEFAULT_CHUNK_TRIALS * distance * (
+            code.num_data_qubits + code.num_ancillas_of_type(StabilizerType.X)
+        )
+        point = {"distance": distance, "error_rate": error_rate, "cells": cells}
+        for side, noise in (
+            ("skip", PhenomenologicalNoise(error_rate)),
+            ("dense", _DenseStreamNoise(error_rate)),
+        ):
+            rng = np.random.default_rng(SEED)
+            seconds = []
+            for _ in range(SAMPLER_TIMING_REPEATS):
+                start = time.perf_counter()
+                data_planes, flip_planes = noise.sample_history_packed(
+                    code, StabilizerType.X, DEFAULT_CHUNK_TRIALS, distance, rng
+                )
+                seconds.append(time.perf_counter() - start)
+            set_bits = bitplane.popcount(data_planes) + bitplane.popcount(flip_planes)
+            low = int(binom.ppf(SAMPLER_ALPHA / 2, cells, error_rate))
+            high = int(binom.isf(SAMPLER_ALPHA / 2, cells, error_rate))
+            point[side] = {
+                "seconds_per_chunk": round(statistics.median(seconds), 5),
+                "seconds_iqr": round(float(np.subtract(*np.percentile(seconds, [75, 25]))), 5),
+                "set_bits": set_bits,
+                "set_bits_in_band": low <= set_bits <= high,
+            }
+        point["speedup"] = round(
+            point["dense"]["seconds_per_chunk"] / point["skip"]["seconds_per_chunk"], 1
+        )
+        sampler_points.append(point)
+    sampler_record = {
+        "chunk_trials": DEFAULT_CHUNK_TRIALS,
+        "repeats": SAMPLER_TIMING_REPEATS,
+        "points": sampler_points,
+    }
 
     # --- blossom: in-tree matcher vs the networkx auxiliary-graph path ----
     # Matcher level: synthetic event sets at d=13 through both matchers'
@@ -740,6 +802,7 @@ def test_engine_and_fallback_throughput_bench_record():
         "store": store_record,
         "cascade": cascade_record,
         "packed": packed_record,
+        "sampler": sampler_record,
         "blossom": blossom_record,
         "faults": faults_record,
         "scheduler": scheduler_record,
@@ -802,6 +865,15 @@ def test_engine_and_fallback_throughput_bench_record():
         assert point["peak_bytes_per_entry"] <= MAX_PACKED_BYTES_PER_ENTRY, (
             f"packed working set at d={point['distance']}: "
             f"{point['peak_bytes_per_entry']} bytes/entry"
+        )
+
+    # Skip sampling: faster than the dense per-vector path at every point,
+    # with set-bit totals both sides draw from the same Binomial.
+    for point in sampler_points:
+        assert point["skip"]["set_bits_in_band"] and point["dense"]["set_bits_in_band"], point
+        assert point["speedup"] > 1.0, (
+            f"skip sampler no faster than the dense path at "
+            f"d={point['distance']}, p={point['error_rate']}: {point['speedup']}x"
         )
 
     # Blossom vs networkx: the speedup must never be bought with accuracy —

@@ -34,7 +34,7 @@ from repro.decoders.registry import resolve_tier_spec
 from repro.decoders.union_find import default_escalation_cluster_size
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import ExperimentResult, resolve_fault_policy, sweep_cache
-from repro.noise.models import PhenomenologicalNoise
+from repro.noise.models import SAMPLER_STREAM, PhenomenologicalNoise
 from repro.noise.rng import point_seed
 from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import WilsonStoppingRule, until_wilson
@@ -179,6 +179,11 @@ def _memory_point_config(
     ``"auto"`` spelling and its per-distance value key identically; the
     threshold shifts the escalation split, so it must key), making every
     distinct topology a distinct key.
+
+    The constant ``"sampler"`` entry names the noise sampler's stream
+    (:data:`~repro.noise.models.SAMPLER_STREAM`): memory counts are only
+    reusable under the stream that produced them, and tagging the memory
+    keys alone leaves the coverage experiments' stores warm.
     """
     config = {
         "kind": "memory",
@@ -195,6 +200,7 @@ def _memory_point_config(
         "decoder": decoder,
         "fallback": tiers[1] if tiers is not None and len(tiers) == 2 else None,
         "stype": StabilizerType.X.value,
+        "sampler": SAMPLER_STREAM,
         "adaptive": None
         if stop is None
         else {

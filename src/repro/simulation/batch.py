@@ -17,18 +17,23 @@ uint64 trial-bitplane layout of :mod:`repro.bitplane` (bit ``t`` of word
    the rare complex minority pays a per-trial off-chip decode;
 4. logical failures are popcounts of XOR-reduced logical-support planes.
 
-The engine is **bit-identical** to the loop engine under a fixed seed: the
-packed sampler consumes the RNG stream exactly as the loop's per-round calls
-would, every kernel is an exact GF(2) counterpart of the loop's arithmetic,
-and ``decode_batch_packed`` implementations are required to match per-trial
+The engine is **bit-identical** to the loop engine under a fixed seed: both
+draw their histories from the one skip sampler of
+:meth:`~repro.noise.models.NoiseModel.sample_history_packed` (the loop
+engine through its unpacked view, one sampling tile at a time), every kernel
+is an exact GF(2) counterpart of the loop's arithmetic, and
+``decode_batch_packed`` implementations are required to match per-trial
 decoding exactly.  The loop engine is therefore the one correctness oracle
 (``engine="loop"``), while this engine is the default gate to paper-scale
 trial counts.
 
 Seeding contract across the three engines: ``loop`` and ``batch`` consume
 one root stream (``make_rng(seed)``) in the same order, which is what makes
-them bit-identical; chunking in this module only slices that single stream
-at chunk boundaries and never reseeds, so ``chunk_trials`` does not affect
+them bit-identical.  The sampler restarts its gap walk at every
+:data:`~repro.noise.models.PACKED_SAMPLE_TILE` trials, and this module
+aligns every chunk boundary to that tile (``chunk_trials`` is rounded down
+to a whole number of tiles, at least one) and never reseeds, so the stream
+depends only on ``(seed, trials)`` and ``chunk_trials`` does not affect
 results.  The ``sharded`` engine of :mod:`repro.simulation.shard` instead
 gives every shard an independent child stream derived from
 ``(seed, shard_index)`` — deterministic for a fixed ``(seed, chunk_trials)``
@@ -46,13 +51,13 @@ from repro import bitplane
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
 from repro.exceptions import ConfigurationError
-from repro.noise.models import NoiseModel
+from repro.noise.models import PACKED_SAMPLE_TILE, NoiseModel
 from repro.noise.rng import make_rng
 from repro.types import StabilizerType
 
-#: Trials decoded per vectorised chunk.  Bounds peak memory (the sampler's
-#: per-tile uniforms and the per-chunk planes) while keeping the per-chunk
-#: numpy fixed costs negligible.
+#: Trials decoded per vectorised chunk (a whole number of sampling tiles).
+#: Bounds peak memory (the per-chunk planes) while keeping the per-chunk numpy
+#: fixed costs negligible.
 DEFAULT_CHUNK_TRIALS = 2048
 
 
@@ -80,8 +85,10 @@ def run_memory_experiment_batch(
 
     Same contract and bit-identical results under the same seed; see the
     module docstring for how the speedup is obtained.  ``chunk_trials`` caps
-    how many trials are vectorised at once (chunking preserves the RNG stream
-    and therefore the equivalence guarantee).
+    how many trials are vectorised at once; it is rounded down to a multiple
+    of :data:`~repro.noise.models.PACKED_SAMPLE_TILE` (at least one tile) so
+    chunking preserves the RNG stream and therefore the equivalence
+    guarantee.
     """
     # Imported lazily: memory.py re-exports this engine behind its
     # ``engine="batch"`` switch, so a module-level import would be circular.
@@ -96,6 +103,9 @@ def run_memory_experiment_batch(
     if chunk_trials <= 0:
         raise ConfigurationError(f"chunk_trials must be positive, got {chunk_trials}")
 
+    chunk_trials = max(
+        PACKED_SAMPLE_TILE, chunk_trials - chunk_trials % PACKED_SAMPLE_TILE
+    )
     generator = make_rng(rng)
     decoder = decoder_factory(code, stype)
     packed_check = bitplane.PackedParityCheck(code.parity_check(stype))

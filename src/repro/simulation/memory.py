@@ -19,7 +19,8 @@ Three engines share this harness's contract, selected with the ``engine``
 argument of :func:`run_memory_experiment`:
 
 * ``"loop"`` — the per-trial reference path below, kept as the correctness
-  oracle;
+  oracle for syndromes, triage, decoding and failure counting (it draws its
+  histories from the batch engine's sampler, one sampling tile at a time);
 * ``"batch"`` (default) — the vectorised uint64-bitplane engine of
   :mod:`repro.simulation.batch`, bit-identical to the loop under a fixed
   seed;
@@ -43,7 +44,7 @@ from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
 from repro.exceptions import ConfigurationError
 from repro.noise.events import vector_to_errors
-from repro.noise.models import NoiseModel
+from repro.noise.models import PACKED_SAMPLE_TILE, NoiseModel
 from repro.noise.rng import make_rng
 from repro.simulation.monte_carlo import WilsonStoppingRule, wilson_interval
 from repro.simulation.scheduler import SweepScheduler, memory_point
@@ -159,21 +160,24 @@ class MemoryExperimentResult:
 def run_memory_trial(
     code: RotatedSurfaceCode,
     stype: StabilizerType,
-    noise: NoiseModel,
     decoder: Decoder,
-    rounds: int,
-    rng: np.random.Generator,
+    data_errors: np.ndarray,
+    measurement_flips: np.ndarray,
 ) -> tuple[bool, dict]:
-    """Run a single memory-experiment trial; return (logical failure?, metadata)."""
+    """Decode one sampled trial; return (logical failure?, metadata).
+
+    ``data_errors`` and ``measurement_flips`` are one trial's ``(rounds,
+    num_data_qubits)`` and ``(rounds, num_ancillas)`` rows of
+    :meth:`~repro.noise.models.NoiseModel.sample_history`.
+    """
     parity_check = code.parity_check(stype)
     num_ancillas = code.num_ancillas_of_type(stype)
     history = SyndromeHistory(num_ancillas)
     accumulated = np.zeros(code.num_data_qubits, dtype=np.uint8)
 
-    for _ in range(rounds):
-        accumulated ^= noise.sample_data_vector(code, rng)
+    for data, flips in zip(data_errors, measurement_flips):
+        accumulated ^= data
         true_syndrome = (parity_check @ accumulated) % 2
-        flips = noise.sample_measurement_vector(code, stype, rng)
         history.record(true_syndrome ^ flips)
     # Final round with perfect readout so every detection event can be matched.
     history.record((parity_check @ accumulated) % 2)
@@ -347,20 +351,29 @@ def run_memory_experiment(
     failures = 0
     onchip_rounds = 0
     total_rounds = 0
-    for _ in range(trials):
-        failed, metadata = run_memory_trial(code, stype, noise, decoder, rounds, generator)
-        failures += int(failed)
-        if "num_offchip_rounds" in metadata and "num_rounds" in metadata:
-            offchip = metadata["num_offchip_rounds"]
-            onchip_rounds += metadata["num_rounds"] - offchip
-            total_rounds += metadata["num_rounds"]
-            if tier_names and "handled_tier" in metadata:
-                tier_trials[metadata["handled_tier"]] += 1
-                tier_rounds[0] += metadata["num_rounds"] - offchip
-                # Per-cluster escalation: each off-chip tier reports the
-                # distinct rounds actually shipped into it.
-                for tier, count in enumerate(metadata["tier_shipped_rounds"], start=1):
-                    tier_rounds[tier] += count
+    # Tile by tile through the batch engine's sampler — the same stream,
+    # unpacked — which is what keeps loop and batch bit-identical.
+    for start in range(0, trials, PACKED_SAMPLE_TILE):
+        data_errors, measurement_flips = noise.sample_history(
+            code, stype, min(PACKED_SAMPLE_TILE, trials - start), rounds, generator
+        )
+        for trial_data, trial_flips in zip(data_errors, measurement_flips):
+            failed, metadata = run_memory_trial(
+                code, stype, decoder, trial_data, trial_flips
+            )
+            failures += int(failed)
+            if "num_offchip_rounds" in metadata and "num_rounds" in metadata:
+                offchip = metadata["num_offchip_rounds"]
+                onchip_rounds += metadata["num_rounds"] - offchip
+                total_rounds += metadata["num_rounds"]
+                if tier_names and "handled_tier" in metadata:
+                    tier_trials[metadata["handled_tier"]] += 1
+                    tier_rounds[0] += metadata["num_rounds"] - offchip
+                    # Per-cluster escalation: each off-chip tier reports the
+                    # distinct rounds actually shipped into it.
+                    shipped = metadata["tier_shipped_rounds"]
+                    for tier, count in enumerate(shipped, start=1):
+                        tier_rounds[tier] += count
 
     return MemoryExperimentResult(
         physical_error_rate=noise.data_error_rate,

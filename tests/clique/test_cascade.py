@@ -274,6 +274,8 @@ class TestBatchedCascadeBitIdentity:
 #: hierarchy implementation (commit 645e6b2) — trials=300,
 #: p=2e-2, seed=1234, rounds=distance; sharded at workers=1 with the default
 #: chunk.  The cascade refactor must reproduce every number bit for bit.
+#: They were recorded on the dense per-vector noise stream, which base noise
+#: models no longer use; :class:`DenseStreamNoise` selects it.
 PRE_REFACTOR_SEEDED = {
     # (fallback, distance, engine): (logical_failures, onchip_rounds, total_rounds)
     ("mwpm", 3, "loop"): (13, 1199, 1200),
@@ -291,6 +293,18 @@ PRE_REFACTOR_SEEDED = {
 }
 
 
+class DenseStreamNoise(PhenomenologicalNoise):
+    """Phenomenological noise on the dense per-vector stream.
+
+    Overriding a per-vector hook (with ``super()``, so the physics is
+    unchanged) routes every engine through the per-vector sampling path —
+    the stream the frozen outputs above were recorded on.
+    """
+
+    def sample_data_vector(self, code, rng):
+        return super().sample_data_vector(code, rng)
+
+
 class TestPreRefactorEquivalence:
     """``DecoderCascade(("clique", f))`` must be bit-identical to the
     pre-refactor hierarchy under fixed seeds on the loop, batch, and sharded
@@ -305,7 +319,7 @@ class TestPreRefactorEquivalence:
         expected = PRE_REFACTOR_SEEDED[(fallback, distance, engine)]
         result = run_memory_experiment(
             get_code(distance),
-            PhenomenologicalNoise(2e-2),
+            DenseStreamNoise(2e-2),
             _CascadeFactory(("clique", fallback)),
             trials=300,
             rng=1234,

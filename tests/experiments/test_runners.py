@@ -116,19 +116,20 @@ class TestFig14:
         )
 
     def test_two_tier_store_key_keeps_fallback_spelling(self, tmp_path):
-        # Literal digests that ``fig14.run(fallback="union_find")`` keyed
-        # before that keyword was removed (d=3, p=1e-2, trials=100, batch,
-        # seed 2026): the two-tier cascade must keep keying as
-        # ``"fallback": "union_find"`` with no ``"tiers"`` entry, or every
-        # stored two-tier point silently goes cold.
+        # Literal digests of the two-tier ``clique,union_find`` point (d=3,
+        # p=1e-2, trials=100, batch, seed 2026), re-pinned when the skip
+        # sampler added the ``"sampler"`` entry: the two-tier cascade must
+        # keep keying as ``"fallback": "union_find"`` with no ``"tiers"``
+        # entry, or stored two-tier points silently go cold.
         tiers = fig14._resolve_cascade(("clique", "union_find"))
         config = fig14._memory_point_config(
             3, 1e-2, None, 100, "batch", fig14._cascade_label(tiers), tiers, None
         )
         assert config["fallback"] == "union_find"
         assert "tiers" not in config
+        assert config["sampler"] == "skip-geometric/tile-256"
         assert result_key("fig14", config, 2026) == (
-            "011ae1f9e1a1a52bf8ff10ebebd92af1a6f5e79196b49ebd527d4fec835a4264"
+            "95b8857812f5e27c23f8425635f0f2d05442655b4f4bf5546dd6c046c1eeb7ec"
         )
         fig14.run(
             trials=100,
@@ -141,7 +142,7 @@ class TestFig14:
         lines = (tmp_path / "results.jsonl").read_text().splitlines()
         keys = {json.loads(line)["key"] for line in lines}
         # The same config under the sweep's derived point seed.
-        assert "b8b496260368d06511ae95450165072145903a8f1a48b51e95b038cd25d47706" in keys
+        assert "29bd17fd434c19de4cd78969d0c8afb104e046461912191234d73870f17d71dc" in keys
 
 
 class TestFig15:

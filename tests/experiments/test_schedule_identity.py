@@ -5,7 +5,10 @@ Wilson-adaptive, at workers 1 and 4 — and after ``store compact`` the SHA-256
 of ``results.jsonl`` must equal a pinned golden digest.  The digests were
 recorded from the one-pool-per-point dispatch path that preceded the sweep
 scheduler, so that path's output remains the oracle: a change to shard
-streams, merge order, result fields, or store keys breaks the pin.  The chaos
+streams, merge order, result fields, or store keys breaks the pin.  The fig14
+digests were re-recorded once, when memory histories moved to the skip
+sampler (a new noise stream and a ``"sampler"`` key entry); the fig11
+digests predate it, because coverage sampling did not change.  The chaos
 case SIGKILLs a worker mid-sweep on one specific point (the ``point <p>``
 plan qualifier) and still demands fault-free bytes.
 """
@@ -29,8 +32,8 @@ from repro.types import StabilizerType
 
 #: SHA-256 of the compacted ``results.jsonl`` for each (figure, mode) below.
 GOLDEN_DIGESTS = {
-    ("fig14", "fixed"): "a44ed19120bbcf6062a0d87d6ccc8ceed411958dea08317e7efbce86ceb6aa1d",
-    ("fig14", "adaptive"): "60ac8380e571ee960ff4b07a5b520a2f45a92d68dfe5839a63c23d2172be8f66",
+    ("fig14", "fixed"): "3b7d7c8415c80f628424ed1dc6b9b27c0bce57c45cb53e948c5abe45e548923f",
+    ("fig14", "adaptive"): "4dd709b5e9ad58ad1de0c734a38bc16470f2783af05e29dec6bc62a189f42959",
     ("fig11", "fixed"): "b3d961f8343f4440de8fbac05ad8531b538baa702838c5d84b7724f8d46d4d13",
     ("fig11", "adaptive"): "18d94259e33c2e67c57a55e1cc8fadb75fea4ddfdcfc5a3bc433754a850d33c9",
 }
@@ -165,3 +168,4 @@ class TestScheduledChaos:
         assert compacted_bytes(tmp_path / "faulted") == compacted_bytes(
             tmp_path / "clean"
         )
+        assert compacted_digest(tmp_path / "faulted") == GOLDEN_DIGESTS["fig14", "fixed"]

@@ -17,7 +17,7 @@ from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
-from repro.noise.models import PhenomenologicalNoise
+from repro.noise.models import PACKED_SAMPLE_TILE, PhenomenologicalNoise
 from repro.simulation.batch import logical_support_bitmap, run_memory_experiment_batch
 from repro.simulation.memory import run_memory_experiment
 from repro.types import StabilizerType
@@ -54,16 +54,18 @@ class TestEngineEquivalence:
         assert batch.decoder_name == loop.decoder_name
         assert batch.rounds == loop.rounds
 
-    def test_chunking_preserves_the_rng_stream(self, code_d3):
-        noise = PhenomenologicalNoise(1e-2)
+    @pytest.mark.parametrize("chunk_trials", [7, 300, 2 * PACKED_SAMPLE_TILE])
+    def test_chunking_preserves_the_rng_stream(self, code_d3, chunk_trials):
+        # Chunks are aligned to the sampling tile (7 and 300 round to one
+        # tile), so every chunking draws the same stream.
+        noise = PhenomenologicalNoise(3e-2)
         whole = run_memory_experiment_batch(
-            code_d3, noise, _cascade, trials=100, rng=5
+            code_d3, noise, _cascade, trials=700, rng=5
         )
         chunked = run_memory_experiment_batch(
-            code_d3, noise, _cascade, trials=100, rng=5, chunk_trials=7
+            code_d3, noise, _cascade, trials=700, rng=5, chunk_trials=chunk_trials
         )
-        assert chunked.logical_failures == whole.logical_failures
-        assert chunked.onchip_rounds == whole.onchip_rounds
+        assert chunked == whole
 
     def test_engine_is_validated(self, code_d3):
         with pytest.raises(ConfigurationError):
@@ -186,20 +188,19 @@ class TestPackedCliqueHelpers:
 
 class TestBatchedNoiseSampling:
     def test_sample_history_is_stream_compatible_with_loop(self, code_d3):
+        # The loop engine samples through sample_history; for base models it
+        # must be the unpacked view of the batch engine's packed draw.
         noise = PhenomenologicalNoise(0.05, 0.02)
-        batch_rng = np.random.default_rng(77)
-        data, flips = noise.sample_history(code_d3, StabilizerType.X, 4, 3, batch_rng)
-        assert data.shape == (4, 3, code_d3.num_data_qubits)
-        assert flips.shape == (4, 3, code_d3.num_ancillas_of_type(StabilizerType.X))
-        loop_rng = np.random.default_rng(77)
-        for trial in range(4):
-            for round_index in range(3):
-                expected_data = noise.sample_data_vector(code_d3, loop_rng)
-                expected_flips = noise.sample_measurement_vector(
-                    code_d3, StabilizerType.X, loop_rng
-                )
-                assert np.array_equal(data[trial, round_index], expected_data)
-                assert np.array_equal(flips[trial, round_index], expected_flips)
+        data, flips = noise.sample_history(
+            code_d3, StabilizerType.X, 70, 3, np.random.default_rng(77)
+        )
+        assert data.shape == (70, 3, code_d3.num_data_qubits)
+        assert flips.shape == (70, 3, code_d3.num_ancillas_of_type(StabilizerType.X))
+        data_planes, flip_planes = noise.sample_history_packed(
+            code_d3, StabilizerType.X, 70, 3, np.random.default_rng(77)
+        )
+        assert np.array_equal(data, bitplane.unpack_trials(data_planes, 70))
+        assert np.array_equal(flips, bitplane.unpack_trials(flip_planes, 70))
 
     def test_sample_history_honours_overridden_vector_samplers(self, code_d3):
         # A subclass customising per-vector sampling must keep the engines

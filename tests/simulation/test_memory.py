@@ -25,12 +25,19 @@ def _cascade(code, stype):
     return DecoderCascade(code, stype)
 
 
+def _one_trial(code, noise, rounds, rng):
+    data_errors, measurement_flips = noise.sample_history(
+        code, StabilizerType.X, 1, rounds, rng
+    )
+    return data_errors[0], measurement_flips[0]
+
+
 class TestRunMemoryTrial:
     def test_zero_noise_never_fails(self, code_d3, rng):
         noise = PhenomenologicalNoise(0.0)
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
         failed, metadata = run_memory_trial(
-            code_d3, StabilizerType.X, noise, decoder, rounds=3, rng=rng
+            code_d3, StabilizerType.X, decoder, *_one_trial(code_d3, noise, 3, rng)
         )
         assert not failed
         assert metadata["num_events"] == 0
@@ -39,10 +46,24 @@ class TestRunMemoryTrial:
         noise = PhenomenologicalNoise(0.02)
         decoder = DecoderCascade(code_d3, StabilizerType.X)
         _failed, metadata = run_memory_trial(
-            code_d3, StabilizerType.X, noise, decoder, rounds=3, rng=rng
+            code_d3, StabilizerType.X, decoder, *_one_trial(code_d3, noise, 3, rng)
         )
         assert "num_offchip_rounds" in metadata
         assert metadata["num_rounds"] == 4  # three noisy rounds + final perfect round
+
+    def test_uncorrected_logical_string_fails(self, code_d3):
+        # A logical Z chain in round 0 is invisible to every X stabilizer,
+        # so any decoder leaves it in place: a logical failure.
+        decoder = MWPMDecoder(code_d3, StabilizerType.X)
+        data_errors = np.zeros((3, code_d3.num_data_qubits), dtype=np.uint8)
+        for qubit in code_d3.logical_support(StabilizerType.Z):
+            data_errors[0, code_d3.data_index[qubit]] = 1
+        flips = np.zeros((3, code_d3.num_ancillas_of_type(StabilizerType.X)), np.uint8)
+        failed, metadata = run_memory_trial(
+            code_d3, StabilizerType.X, decoder, data_errors, flips
+        )
+        assert failed
+        assert metadata["num_events"] == 0
 
 
 class TestRunMemoryExperiment:

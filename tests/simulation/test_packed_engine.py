@@ -89,12 +89,13 @@ class TestPackedEquivalence:
         _assert_results_identical(packed, loop)
 
     def test_packed_chunking_preserves_the_rng_stream(self, code_d5):
+        # chunk_trials=7 rounds up to one sampling tile: three chunks here.
         noise = PhenomenologicalNoise(1e-2)
         chunked = run_memory_experiment_batch(
-            code_d5, noise, _cascade, trials=100, rng=5, chunk_trials=7
+            code_d5, noise, _cascade, trials=600, rng=5, chunk_trials=7
         )
         loop = run_memory_experiment(
-            code_d5, noise, _cascade, trials=100, rng=5, engine="loop"
+            code_d5, noise, _cascade, trials=600, rng=5, engine="loop"
         )
         _assert_results_identical(chunked, loop)
 
